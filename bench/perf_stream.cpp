@@ -220,7 +220,12 @@ void BM_SupervisedIngestFaulty(benchmark::State& state) {
     params.corrupt_strikes = 1000;  // Truncations are redelivered intact.
     stream::FeedSupervisor supervisor(std::move(params), std::move(specs));
     supervisor.run();
-    records += static_cast<std::int64_t>(4 * script.size() * 1024);
+    // Credit only the records the supervisor absorbed: duplicates, late
+    // records and rejects are work, not throughput.
+    for (std::size_t p = 0; p < 4; ++p) {
+      records +=
+          static_cast<std::int64_t>(supervisor.stats(p).records_accepted);
+    }
     benchmark::DoNotOptimize(supervisor.merge());
   }
   state.SetItemsProcessed(records);

@@ -18,10 +18,8 @@ namespace icn::ml {
 // elements i == k (mod 4), the lanes combine as (s0 + s2) + (s1 + s3), and
 // the remaining 0-3 tail elements add sequentially. Fixing one order —
 // instead of matching whatever a serial loop would do — is what lets every
-// vector width and the scalar build produce the same bits. The AVX-512
-// kernels run subtract/multiply 8-wide but fold the two 4-lane halves into
-// the accumulator in element order, so they join the same canonical order
-// rather than inventing an 8-lane one.
+// vector width and the scalar build produce the same bits: the AVX2 kernels
+// hold exactly those four lanes in one 256-bit accumulator.
 
 namespace detail {
 
@@ -98,31 +96,6 @@ double vector_sum_scalar(const double* xs, std::size_t n) {
 
 #if defined(ICN_ML_X86)
 
-__attribute__((target("sse2"))) double squared_euclidean_sse2(const double* a,
-                                                              const double* b,
-                                                              std::size_t n) {
-  __m128d acc01 = _mm_setzero_pd();  // lanes 0, 1
-  __m128d acc23 = _mm_setzero_pd();  // lanes 2, 3
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128d d01 = _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
-    const __m128d d23 =
-        _mm_sub_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2));
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-  }
-  alignas(16) double s01[2];
-  alignas(16) double s23[2];
-  _mm_store_pd(s01, acc01);
-  _mm_store_pd(s23, acc23);
-  double acc = (s01[0] + s23[0]) + (s01[1] + s23[1]);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
 __attribute__((target("avx2"))) double squared_euclidean_avx2(const double* a,
                                                               const double* b,
                                                               std::size_t n) {
@@ -143,82 +116,10 @@ __attribute__((target("avx2"))) double squared_euclidean_avx2(const double* a,
   return total;
 }
 
-// GCC's _mm512_extractf64x4_pd expands through _mm256_undefined_pd, which
-// trips -Wmaybe-uninitialized in the intrinsic header itself; the mask
-// argument is -1 so every lane is written.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-__attribute__((target("avx512f"))) double squared_euclidean_avx512(
-    const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();  // lane k = class k (mod 4)
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d d =
-        _mm512_sub_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i));
-    const __m512d sq = _mm512_mul_pd(d, d);
-    // Fold the halves in element order to stay in the canonical 4-lane order.
-    acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(sq));
-    acc = _mm256_add_pd(acc, _mm512_extractf64x4_pd(sq, 1));
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-  }
-  alignas(32) double s[4];
-  _mm256_store_pd(s, acc);
-  double total = (s[0] + s[2]) + (s[1] + s[3]);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    total += d * d;
-  }
-  return total;
-}
-
-__attribute__((target("sse2"))) double vector_sum_sse2(const double* xs,
-                                                       std::size_t n) {
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = _mm_add_pd(acc01, _mm_loadu_pd(xs + i));
-    acc23 = _mm_add_pd(acc23, _mm_loadu_pd(xs + i + 2));
-  }
-  alignas(16) double s01[2];
-  alignas(16) double s23[2];
-  _mm_store_pd(s01, acc01);
-  _mm_store_pd(s23, acc23);
-  double acc = (s01[0] + s23[0]) + (s01[1] + s23[1]);
-  for (; i < n; ++i) acc += xs[i];
-  return acc;
-}
-
 __attribute__((target("avx2"))) double vector_sum_avx2(const double* xs,
                                                        std::size_t n) {
   __m256d acc = _mm256_setzero_pd();
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(xs + i));
-  }
-  alignas(32) double s[4];
-  _mm256_store_pd(s, acc);
-  double total = (s[0] + s[2]) + (s[1] + s[3]);
-  for (; i < n; ++i) total += xs[i];
-  return total;
-}
-
-__attribute__((target("avx512f"))) double vector_sum_avx512(const double* xs,
-                                                            std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d v = _mm512_loadu_pd(xs + i);
-    acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(v));
-    acc = _mm256_add_pd(acc, _mm512_extractf64x4_pd(v, 1));
-  }
   for (; i + 4 <= n; i += 4) {
     acc = _mm256_add_pd(acc, _mm256_loadu_pd(xs + i));
   }
@@ -238,85 +139,12 @@ __attribute__((target("avx512f"))) double vector_sum_avx512(const double* xs,
 // the condensed-distance speedup comes from. Each chain runs exactly the
 // canonical order, so out[r] is byte-identical to the single-pair kernel.
 
-__attribute__((target("sse2"))) void squared_euclidean_x4_sse2(
-    const double* a, const double* b, std::size_t stride, std::size_t n,
-    double out[4]) {
-  __m128d acc01[4];
-  __m128d acc23[4];
-  for (int r = 0; r < 4; ++r) {
-    acc01[r] = _mm_setzero_pd();
-    acc23[r] = _mm_setzero_pd();
-  }
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128d a01 = _mm_loadu_pd(a + i);
-    const __m128d a23 = _mm_loadu_pd(a + i + 2);
-    for (int r = 0; r < 4; ++r) {
-      const double* br = b + static_cast<std::size_t>(r) * stride;
-      const __m128d d01 = _mm_sub_pd(a01, _mm_loadu_pd(br + i));
-      const __m128d d23 = _mm_sub_pd(a23, _mm_loadu_pd(br + i + 2));
-      acc01[r] = _mm_add_pd(acc01[r], _mm_mul_pd(d01, d01));
-      acc23[r] = _mm_add_pd(acc23[r], _mm_mul_pd(d23, d23));
-    }
-  }
-  for (int r = 0; r < 4; ++r) {
-    const double* br = b + static_cast<std::size_t>(r) * stride;
-    alignas(16) double s01[2];
-    alignas(16) double s23[2];
-    _mm_store_pd(s01, acc01[r]);
-    _mm_store_pd(s23, acc23[r]);
-    double acc = (s01[0] + s23[0]) + (s01[1] + s23[1]);
-    for (std::size_t t = i; t < n; ++t) {
-      const double d = a[t] - br[t];
-      acc += d * d;
-    }
-    out[r] = acc;
-  }
-}
-
 __attribute__((target("avx2"))) void squared_euclidean_x4_avx2(
     const double* a, const double* b, std::size_t stride, std::size_t n,
     double out[4]) {
   __m256d acc[4];
   for (int r = 0; r < 4; ++r) acc[r] = _mm256_setzero_pd();
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d av = _mm256_loadu_pd(a + i);
-    for (int r = 0; r < 4; ++r) {
-      const __m256d d = _mm256_sub_pd(
-          av, _mm256_loadu_pd(b + static_cast<std::size_t>(r) * stride + i));
-      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(d, d));
-    }
-  }
-  for (int r = 0; r < 4; ++r) {
-    const double* br = b + static_cast<std::size_t>(r) * stride;
-    alignas(32) double s[4];
-    _mm256_store_pd(s, acc[r]);
-    double total = (s[0] + s[2]) + (s[1] + s[3]);
-    for (std::size_t t = i; t < n; ++t) {
-      const double d = a[t] - br[t];
-      total += d * d;
-    }
-    out[r] = total;
-  }
-}
-
-__attribute__((target("avx512f"))) void squared_euclidean_x4_avx512(
-    const double* a, const double* b, std::size_t stride, std::size_t n,
-    double out[4]) {
-  __m256d acc[4];
-  for (int r = 0; r < 4; ++r) acc[r] = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d av = _mm512_loadu_pd(a + i);
-    for (int r = 0; r < 4; ++r) {
-      const __m512d d = _mm512_sub_pd(
-          av, _mm512_loadu_pd(b + static_cast<std::size_t>(r) * stride + i));
-      const __m512d sq = _mm512_mul_pd(d, d);
-      acc[r] = _mm256_add_pd(acc[r], _mm512_castpd512_pd256(sq));
-      acc[r] = _mm256_add_pd(acc[r], _mm512_extractf64x4_pd(sq, 1));
-    }
-  }
   for (; i + 4 <= n; i += 4) {
     const __m256d av = _mm256_loadu_pd(a + i);
     for (int r = 0; r < 4; ++r) {
@@ -386,48 +214,20 @@ __attribute__((target("avx2,fma"))) void squared_euclidean_x4_fma(
   }
 }
 
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 #else  // !ICN_ML_X86
 
 // Non-x86 builds: every lane aliases the scalar kernel — dispatch still
 // works, ICN_SIMD levels above scalar are rejected by util::simd_level().
-double squared_euclidean_sse2(const double* a, const double* b,
-                              std::size_t n) {
-  return squared_euclidean_scalar(a, b, n);
-}
 double squared_euclidean_avx2(const double* a, const double* b,
                               std::size_t n) {
   return squared_euclidean_scalar(a, b, n);
 }
-double squared_euclidean_avx512(const double* a, const double* b,
-                                std::size_t n) {
-  return squared_euclidean_scalar(a, b, n);
-}
-double vector_sum_sse2(const double* xs, std::size_t n) {
-  return vector_sum_scalar(xs, n);
-}
 double vector_sum_avx2(const double* xs, std::size_t n) {
   return vector_sum_scalar(xs, n);
-}
-double vector_sum_avx512(const double* xs, std::size_t n) {
-  return vector_sum_scalar(xs, n);
-}
-void squared_euclidean_x4_sse2(const double* a, const double* b,
-                               std::size_t stride, std::size_t n,
-                               double out[4]) {
-  squared_euclidean_x4_scalar(a, b, stride, n, out);
 }
 void squared_euclidean_x4_avx2(const double* a, const double* b,
                                std::size_t stride, std::size_t n,
                                double out[4]) {
-  squared_euclidean_x4_scalar(a, b, stride, n, out);
-}
-void squared_euclidean_x4_avx512(const double* a, const double* b,
-                                 std::size_t stride, std::size_t n,
-                                 double out[4]) {
   squared_euclidean_x4_scalar(a, b, stride, n, out);
 }
 double squared_euclidean_fma(const double* a, const double* b, std::size_t n) {
@@ -458,12 +258,8 @@ SquaredEuclideanFn pick_squared_euclidean() {
   switch (icn::util::simd_level()) {
     case icn::util::SimdLevel::kScalar:
       return detail::squared_euclidean_scalar;
-    case icn::util::SimdLevel::kSse2:
-      return detail::squared_euclidean_sse2;
     case icn::util::SimdLevel::kAvx2:
       return detail::squared_euclidean_avx2;
-    case icn::util::SimdLevel::kAvx512:
-      return detail::squared_euclidean_avx512;
     case icn::util::SimdLevel::kAvx2Fma:
       return detail::squared_euclidean_fma;
   }
@@ -474,12 +270,8 @@ SquaredEuclideanX4Fn pick_squared_euclidean_x4() {
   switch (icn::util::simd_level()) {
     case icn::util::SimdLevel::kScalar:
       return detail::squared_euclidean_x4_scalar;
-    case icn::util::SimdLevel::kSse2:
-      return detail::squared_euclidean_x4_sse2;
     case icn::util::SimdLevel::kAvx2:
       return detail::squared_euclidean_x4_avx2;
-    case icn::util::SimdLevel::kAvx512:
-      return detail::squared_euclidean_x4_avx512;
     case icn::util::SimdLevel::kAvx2Fma:
       return detail::squared_euclidean_x4_fma;
   }
@@ -490,12 +282,8 @@ VectorSumFn pick_vector_sum() {
   switch (icn::util::simd_level()) {
     case icn::util::SimdLevel::kScalar:
       return detail::vector_sum_scalar;
-    case icn::util::SimdLevel::kSse2:
-      return detail::vector_sum_sse2;
     case icn::util::SimdLevel::kAvx2:
       return detail::vector_sum_avx2;
-    case icn::util::SimdLevel::kAvx512:
-      return detail::vector_sum_avx512;
     case icn::util::SimdLevel::kAvx2Fma:
       // vector_sum has no multiply-add pairs to fuse; the avx2 kernel IS the
       // FMA-lane kernel, so sums keep the canonical bits under avx2fma.

@@ -2,25 +2,25 @@
 // distances, canonical-order accumulation, RSCA/labeled-sum kernels, hardware
 // CRC32C).
 //
-// The widest instruction set is probed once via cpuid at first use and every
-// kernel dispatches through a function pointer picked from that probe, so one
-// binary runs correctly from a scalar-only container to an AVX-512 server.
-// The ICN_SIMD environment variable pins the lane width for A/B parity tests
-// and benchmarks:
+// AVX2 support is probed once via cpuid at first use and every kernel
+// dispatches through a function pointer picked from that probe, so one binary
+// runs correctly on any x86 CPU: the AVX2 lane where the CPU has it, the
+// scalar lane everywhere else (and on non-x86 builds). The ICN_SIMD
+// environment variable pins the lane for A/B parity tests and benchmarks:
 //
-//   ICN_SIMD=scalar | sse2 | avx2 | avx512 | avx2fma
+//   ICN_SIMD=scalar | avx2 | avx2fma
 //
 // A garbage value, or a level the CPU cannot execute, throws
 // icn::util::EnvConfigError at first use — configuration typos fail loudly
-// instead of silently benchmarking the wrong kernel. Every non-FMA lane
-// preserves the same canonical accumulation order (see ml/distance.h), so
-// those ICN_SIMD values change speed, never bits.
+// instead of silently benchmarking the wrong kernel. The scalar and avx2
+// lanes keep the same canonical accumulation order (see ml/distance.h), so
+// those two ICN_SIMD values change speed, never bits.
 //
 // `avx2fma` is the exception and is therefore strictly opt-in: it fuses
 // multiply+add pairs into FMAs, which rounds once instead of twice and
 // produces different (usually slightly more accurate) bits. Auto-detection
-// NEVER selects it — an unset ICN_SIMD resolves to the widest non-FMA lane
-// even on FMA-capable hardware — and requesting it on hardware without
+// NEVER selects it — an unset ICN_SIMD resolves to avx2 (or scalar) even on
+// FMA-capable hardware — and requesting it on hardware without
 // AVX2+FMA throws EnvConfigError. The FMA lane has its own re-baselined
 // scalar reference (std::fma in the canonical order) that the parity tests
 // compare against; see DESIGN.md §6.2.
@@ -30,23 +30,20 @@
 
 namespace icn::util {
 
-/// Kernel lanes. kScalar..kAvx512 are orderable: a CPU supporting level L
-/// supports all levels below it (AVX-512-capable hardware always has AVX2 and
-/// SSE2). kAvx2Fma sits outside that total order — it is the opt-in fused
-/// multiply-add variant of kAvx2 and is gated separately on the FMA cpuid
-/// bit, never chosen by auto-detection.
+/// Kernel lanes. kScalar < kAvx2 is the auto-detected order. kAvx2Fma sits
+/// outside it — the opt-in fused multiply-add variant of kAvx2, gated
+/// separately on the FMA cpuid bit and never chosen by auto-detection. The
+/// values are stable: the SIMD benches name their runs by them.
 enum class SimdLevel {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
-  kAvx512 = 3,
   kAvx2Fma = 4,
 };
 
-/// Lower-case canonical name ("scalar", "sse2", "avx2", "avx512", "avx2fma").
+/// Lower-case canonical name ("scalar", "avx2", "avx2fma").
 [[nodiscard]] const char* simd_level_name(SimdLevel level);
 
-/// Widest *non-FMA* level this CPU can execute, probed via cpuid. kScalar on
+/// kAvx2 when the CPU has AVX2 (probed via cpuid), else kScalar; kScalar on
 /// non-x86 builds. Never returns kAvx2Fma: the FMA lane changes bits and must
 /// be requested explicitly.
 [[nodiscard]] SimdLevel max_supported_simd_level();
@@ -56,7 +53,7 @@ enum class SimdLevel {
 [[nodiscard]] bool cpu_supports_fma();
 
 /// Parses an ICN_SIMD-style value: nullopt when unset/blank (auto-detect),
-/// the level for one of the five canonical names (case-insensitive), and
+/// the level for one of the three canonical names (case-insensitive), and
 /// EnvConfigError for anything else.
 [[nodiscard]] std::optional<SimdLevel> parse_simd_level(const char* value);
 
@@ -70,7 +67,7 @@ enum class SimdLevel {
 
 /// The level the dispatched kernels run at: ICN_SIMD when set (EnvConfigError
 /// if it is garbage or exceeds what the CPU supports), else the probed
-/// non-FMA maximum. Resolved once and cached for the process lifetime.
+/// non-FMA level. Resolved once and cached for the process lifetime.
 [[nodiscard]] SimdLevel simd_level();
 
 /// True when the CPU has SSE4.2 (the crc32 instruction). Probed separately

@@ -31,9 +31,7 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 std::vector<SimdLevel> runnable_levels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   const SimdLevel max = icn::util::max_supported_simd_level();
-  if (max >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
   if (max >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
-  if (max >= SimdLevel::kAvx512) levels.push_back(SimdLevel::kAvx512);
   return levels;
 }
 
@@ -47,12 +45,8 @@ void run_rsca_row(SimdLevel level, const double* t, const double* s,
   switch (level) {
     case SimdLevel::kScalar:
       return detail::rsca_row_scalar(t, s, total, n, out);
-    case SimdLevel::kSse2:
-      return detail::rsca_row_sse2(t, s, total, n, out);
     case SimdLevel::kAvx2:
       return detail::rsca_row_avx2(t, s, total, n, out);
-    case SimdLevel::kAvx512:
-      return detail::rsca_row_avx512(t, s, total, n, out);
     case SimdLevel::kAvx2Fma:
       return detail::rsca_row_fma(t, s, total, n, out);
   }
@@ -63,12 +57,8 @@ void run_rsca_map(SimdLevel level, const double* v, std::size_t n,
   switch (level) {
     case SimdLevel::kScalar:
       return detail::rsca_map_scalar(v, n, out);
-    case SimdLevel::kSse2:
-      return detail::rsca_map_sse2(v, n, out);
     case SimdLevel::kAvx2:
       return detail::rsca_map_avx2(v, n, out);
-    case SimdLevel::kAvx512:
-      return detail::rsca_map_avx512(v, n, out);
     case SimdLevel::kAvx2Fma:
       return detail::rsca_map_avx2(v, n, out);
   }
@@ -79,13 +69,9 @@ void run_labeled_sums(SimdLevel level, const double* d, const int* labels,
   switch (level) {
     case SimdLevel::kScalar:
       return detail::labeled_sums_scalar(d, labels, n, k, sums);
-    case SimdLevel::kSse2:
-      return detail::labeled_sums_sse2(d, labels, n, k, sums);
     case SimdLevel::kAvx2:
     case SimdLevel::kAvx2Fma:
       return detail::labeled_sums_avx2(d, labels, n, k, sums);
-    case SimdLevel::kAvx512:
-      return detail::labeled_sums_avx512(d, labels, n, k, sums);
   }
 }
 
@@ -94,13 +80,9 @@ void run_labeled_extrema(SimdLevel level, const double* d, const int* labels,
   switch (level) {
     case SimdLevel::kScalar:
       return detail::labeled_extrema_scalar(d, labels, own, n, mn, mx);
-    case SimdLevel::kSse2:
-      return detail::labeled_extrema_sse2(d, labels, own, n, mn, mx);
     case SimdLevel::kAvx2:
     case SimdLevel::kAvx2Fma:
       return detail::labeled_extrema_avx2(d, labels, own, n, mn, mx);
-    case SimdLevel::kAvx512:
-      return detail::labeled_extrema_avx512(d, labels, own, n, mn, mx);
   }
 }
 
@@ -109,12 +91,8 @@ void run_x4(SimdLevel level, const double* a, const double* b,
   switch (level) {
     case SimdLevel::kScalar:
       return detail::squared_euclidean_x4_scalar(a, b, stride, n, out);
-    case SimdLevel::kSse2:
-      return detail::squared_euclidean_x4_sse2(a, b, stride, n, out);
     case SimdLevel::kAvx2:
       return detail::squared_euclidean_x4_avx2(a, b, stride, n, out);
-    case SimdLevel::kAvx512:
-      return detail::squared_euclidean_x4_avx512(a, b, stride, n, out);
     case SimdLevel::kAvx2Fma:
       return detail::squared_euclidean_x4_fma(a, b, stride, n, out);
   }

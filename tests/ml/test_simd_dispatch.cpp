@@ -28,9 +28,7 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 std::vector<SimdLevel> runnable_levels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   const SimdLevel max = icn::util::max_supported_simd_level();
-  if (max >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
   if (max >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
-  if (max >= SimdLevel::kAvx512) levels.push_back(SimdLevel::kAvx512);
   return levels;
 }
 
@@ -39,12 +37,8 @@ double run_squared_euclidean(SimdLevel level, const double* a, const double* b,
   switch (level) {
     case SimdLevel::kScalar:
       return detail::squared_euclidean_scalar(a, b, n);
-    case SimdLevel::kSse2:
-      return detail::squared_euclidean_sse2(a, b, n);
     case SimdLevel::kAvx2:
       return detail::squared_euclidean_avx2(a, b, n);
-    case SimdLevel::kAvx512:
-      return detail::squared_euclidean_avx512(a, b, n);
   }
   return 0.0;
 }
@@ -53,18 +47,14 @@ double run_vector_sum(SimdLevel level, const double* xs, std::size_t n) {
   switch (level) {
     case SimdLevel::kScalar:
       return detail::vector_sum_scalar(xs, n);
-    case SimdLevel::kSse2:
-      return detail::vector_sum_sse2(xs, n);
     case SimdLevel::kAvx2:
       return detail::vector_sum_avx2(xs, n);
-    case SimdLevel::kAvx512:
-      return detail::vector_sum_avx512(xs, n);
   }
   return 0.0;
 }
 
 TEST(SimdDispatchTest, AllLanesBitExactOverEveryShortLength) {
-  // Every length 0..67 hits all tail paths of the 2/4/8-wide loops; values
+  // Every length 0..67 hits all tail paths of the 4-wide loops; values
   // span many orders of magnitude so a reordered accumulation cannot hide in
   // rounding slack.
   icn::util::Rng rng(4242);
@@ -146,7 +136,7 @@ TEST(SimdDispatchTest, NanAndInfPropagateIdentically) {
 TEST(SimdDispatchTest, PublicEntryPointsMatchScalarKernelBitForBit) {
   // Whatever lane this process dispatched to, the public functions must
   // agree with the scalar kernel — the end-to-end form of the parity
-  // guarantee (ICN_SIMD=scalar is byte-identical to the widest lane).
+  // guarantee (ICN_SIMD=scalar is byte-identical to the AVX2 lane).
   icn::util::Rng rng(31337);
   for (const std::size_t n : {1u, 3u, 7u, 16u, 33u, 128u, 1001u}) {
     std::vector<double> a(n), b(n);
@@ -166,9 +156,7 @@ TEST(SimdLevelTest, ParsesCanonicalNames) {
   EXPECT_EQ(icn::util::parse_simd_level(""), std::nullopt);
   EXPECT_EQ(icn::util::parse_simd_level("  "), std::nullopt);
   EXPECT_EQ(icn::util::parse_simd_level("scalar"), SimdLevel::kScalar);
-  EXPECT_EQ(icn::util::parse_simd_level("SSE2"), SimdLevel::kSse2);
   EXPECT_EQ(icn::util::parse_simd_level(" avx2 "), SimdLevel::kAvx2);
-  EXPECT_EQ(icn::util::parse_simd_level("AVX512"), SimdLevel::kAvx512);
   EXPECT_EQ(icn::util::parse_simd_level("avx2fma"), SimdLevel::kAvx2Fma);
   EXPECT_EQ(icn::util::parse_simd_level("AVX2FMA"), SimdLevel::kAvx2Fma);
 }
@@ -178,26 +166,33 @@ TEST(SimdLevelTest, GarbageIcnSimdThrowsTypedError) {
     EXPECT_THROW((void)icn::util::parse_simd_level(bad), EnvConfigError)
         << bad;
   }
-  try {
-    (void)icn::util::parse_simd_level("turbo");
-    FAIL() << "expected EnvConfigError";
-  } catch (const EnvConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("ICN_SIMD"), std::string::npos);
+  // SSE2 and AVX512 name lanes that no longer exist (the parser folds case,
+  // so these are ICN_SIMD=sse2 / avx512): they must fail loudly, listing the
+  // accepted values, rather than fall back to another lane.
+  for (const char* bad : {"turbo", "SSE2", "AVX512"}) {
+    try {
+      (void)icn::util::parse_simd_level(bad);
+      FAIL() << "expected EnvConfigError for " << bad;
+    } catch (const EnvConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ICN_SIMD"), std::string::npos) << what;
+      EXPECT_NE(what.find("scalar, avx2, or avx2fma"), std::string::npos)
+          << what;
+    }
   }
 }
 
 TEST(SimdLevelTest, LevelNamesRoundTrip) {
   for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2,
-        SimdLevel::kAvx512, SimdLevel::kAvx2Fma}) {
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx2Fma}) {
     EXPECT_EQ(icn::util::parse_simd_level(icn::util::simd_level_name(level)),
               level);
   }
 }
 
 TEST(SimdLevelTest, DispatchedLevelIsRunnable) {
-  // kAvx2Fma sits outside the scalar..avx512 order, so it has its own
-  // runnability condition; every other level obeys the total order.
+  // kAvx2Fma sits outside the scalar < avx2 order, so it has its own
+  // runnability condition; the other two levels obey that order.
   if (icn::util::simd_level() == SimdLevel::kAvx2Fma) {
     EXPECT_GE(icn::util::max_supported_simd_level(), SimdLevel::kAvx2);
     EXPECT_TRUE(icn::util::cpu_supports_fma());
@@ -208,26 +203,23 @@ TEST(SimdLevelTest, DispatchedLevelIsRunnable) {
 
 TEST(SimdLevelTest, AutoDetectNeverPicksTheFmaLane) {
   // The FMA lane changes bits, so it must be opt-in: auto-detection (unset
-  // ICN_SIMD) resolves to the widest *non-FMA* level.
+  // ICN_SIMD) resolves to avx2 or scalar.
   EXPECT_NE(icn::util::max_supported_simd_level(), SimdLevel::kAvx2Fma);
-  EXPECT_NE(icn::util::resolve_simd_level(std::nullopt, SimdLevel::kAvx512,
+  EXPECT_EQ(icn::util::resolve_simd_level(std::nullopt, SimdLevel::kAvx2,
                                           /*has_fma=*/true),
-            SimdLevel::kAvx2Fma);
+            SimdLevel::kAvx2);
 }
 
 TEST(SimdLevelTest, ResolveAcceptsFmaLaneOnCapableHardware) {
-  for (const SimdLevel supported : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kAvx2Fma, supported,
-                                            /*has_fma=*/true),
-              SimdLevel::kAvx2Fma);
-  }
+  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kAvx2Fma,
+                                          SimdLevel::kAvx2, /*has_fma=*/true),
+            SimdLevel::kAvx2Fma);
 }
 
 TEST(SimdLevelTest, ResolveRejectsFmaLaneWithoutFmaOrAvx2) {
   // Missing the FMA cpuid bit: typed error naming the variable and value.
   try {
-    (void)icn::util::resolve_simd_level(SimdLevel::kAvx2Fma,
-                                        SimdLevel::kAvx512,
+    (void)icn::util::resolve_simd_level(SimdLevel::kAvx2Fma, SimdLevel::kAvx2,
                                         /*has_fma=*/false);
     FAIL() << "expected EnvConfigError";
   } catch (const EnvConfigError& e) {
@@ -235,25 +227,33 @@ TEST(SimdLevelTest, ResolveRejectsFmaLaneWithoutFmaOrAvx2) {
     EXPECT_NE(what.find("ICN_SIMD"), std::string::npos) << what;
     EXPECT_NE(what.find("avx2fma"), std::string::npos) << what;
   }
-  // AVX2-class vectors missing entirely: rejected even with the FMA bit.
+  // AVX2 missing entirely: rejected even with the FMA bit.
   EXPECT_THROW((void)icn::util::resolve_simd_level(SimdLevel::kAvx2Fma,
-                                                   SimdLevel::kSse2,
+                                                   SimdLevel::kScalar,
                                                    /*has_fma=*/true),
                EnvConfigError);
 }
 
 TEST(SimdLevelTest, ResolveKeepsTheNonFmaOrderContract) {
-  EXPECT_EQ(icn::util::resolve_simd_level(std::nullopt, SimdLevel::kSse2,
+  // Unset resolves to the probed level; scalar is always allowed; avx2 on a
+  // CPU without it is a typed error naming the variable.
+  EXPECT_EQ(icn::util::resolve_simd_level(std::nullopt, SimdLevel::kScalar,
                                           /*has_fma=*/false),
-            SimdLevel::kSse2);
-  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kScalar,
-                                          SimdLevel::kAvx512,
+            SimdLevel::kScalar);
+  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kScalar, SimdLevel::kAvx2,
                                           /*has_fma=*/true),
             SimdLevel::kScalar);
-  EXPECT_THROW((void)icn::util::resolve_simd_level(SimdLevel::kAvx512,
-                                                   SimdLevel::kAvx2,
-                                                   /*has_fma=*/true),
-               EnvConfigError);
+  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kAvx2, SimdLevel::kAvx2,
+                                          /*has_fma=*/false),
+            SimdLevel::kAvx2);
+  try {
+    (void)icn::util::resolve_simd_level(SimdLevel::kAvx2, SimdLevel::kScalar,
+                                        /*has_fma=*/true);
+    FAIL() << "expected EnvConfigError";
+  } catch (const EnvConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("ICN_SIMD=avx2"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -34,17 +34,25 @@ class TemporalModelTest : public ::testing::Test {
   }
 
   /// First indoor antenna with the given archetype (and optional env/city).
+  static std::optional<std::size_t> find_antenna_in(
+      const DemandModel& demand, int archetype,
+      std::optional<net::Environment> env = std::nullopt,
+      std::optional<net::City> city = std::nullopt) {
+    const auto& indoor = demand.topology().indoor();
+    for (std::size_t i = 0; i < indoor.size(); ++i) {
+      if (demand.archetype_labels()[i] != archetype) continue;
+      if (env && indoor[i].environment != *env) continue;
+      if (city && indoor[i].city != *city) continue;
+      return i;
+    }
+    return std::nullopt;
+  }
+
   std::optional<std::size_t> find_antenna(
       int archetype,
       std::optional<net::Environment> env = std::nullopt,
       std::optional<net::City> city = std::nullopt) const {
-    for (std::size_t i = 0; i < topology_.indoor().size(); ++i) {
-      if (demand_->archetype_labels()[i] != archetype) continue;
-      if (env && topology_.indoor()[i].environment != *env) continue;
-      if (city && topology_.indoor()[i].city != *city) continue;
-      return i;
-    }
-    return std::nullopt;
+    return find_antenna_in(*demand_, archetype, env, city);
   }
 
   ServiceCatalog catalog_;
@@ -202,12 +210,17 @@ TEST_F(TemporalModelTest, ParisArenasHostTheNbaGame) {
 }
 
 TEST_F(TemporalModelTest, LyonExpoHostsSirha) {
+  // The fixture's scale-0.15 topology has no archetype-5 Lyon expo antenna;
+  // the paper-scale one (same seed) does.
+  net::TopologyParams topo_params;
+  topo_params.seed = 21;
+  topo_params.outdoor_ratio = 0.0;
+  const net::Topology topology = net::Topology::generate(topo_params);
+  const DemandModel demand(topology, archetypes_, DemandParams{});
   const auto antenna =
-      find_antenna(5, net::Environment::kExpo, net::City::kLyon);
-  if (!antenna.has_value()) {
-    GTEST_SKIP() << "no Lyon expo antenna in this reduced topology";
-  }
-  const TemporalModel temporal = make();
+      find_antenna_in(demand, 5, net::Environment::kExpo, net::City::kLyon);
+  ASSERT_TRUE(antenna.has_value());
+  const TemporalModel temporal(demand, TemporalParams{});
   const auto events = temporal.site_events(*antenna);
   std::size_t sirha_days = 0;
   for (const auto& ev : events) {
