@@ -13,9 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "fault/transport.h"
 #include "serve/client.h"
 #include "serve/command_table.h"
-#include "serve/fault.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "store/snapshot.h"
@@ -143,17 +143,17 @@ void BM_ServeFaultyThroughput(benchmark::State& state) {
   serve::SnapshotRegistry registry;
   registry.publish_file(bench_snapshot());
   serve::Server server(serve::ServeConfig{}, registry);
-  serve::ServeFaultPlanParams params;
+  fault::ServeFaultPlanParams params;
   params.seed = 42;
   params.partial_read_rate = 0.25;
   params.partial_read_max = 64;
   params.short_write_rate = 0.25;
   params.short_write_max = 256;
-  const serve::ServeFaultPlan plan(params);
+  const fault::ServeFaultPlan plan(params);
   server.set_transport_factory(
       [&plan](std::unique_ptr<serve::Transport> inner, std::uint64_t conn) {
         // Null ledger: bench mode, no audit trail to grow unbounded.
-        return std::make_unique<serve::FaultyTransport>(std::move(inner),
+        return std::make_unique<fault::FaultyTransport>(std::move(inner),
                                                         &plan, conn, nullptr);
       });
   std::thread reactor([&server] { server.run(); });

@@ -2,30 +2,10 @@
 
 #include <algorithm>
 
+#include "fault/seeded.h"
 #include "util/error.h"
-#include "util/rng.h"
 
 namespace icn::fault {
-namespace {
-
-// Substream tags for derive_seed(seed, file_id, op-or-offset, tag). Offset
-// from the feed-plan tags (plan.cpp) so a shared seed never aliases a feed
-// decision onto a disk decision.
-enum : std::uint64_t {
-  kTagShortWrite = 101,
-  kTagWriteError = 102,
-  kTagNoSpace = 103,
-  kTagFsyncFail = 104,
-  kTagCrashFate = 105,
-  kTagCrashTear = 106,
-};
-
-icn::util::Rng op_rng(std::uint64_t seed, std::uint64_t file_id,
-                      std::uint64_t op, std::uint64_t tag) {
-  return icn::util::Rng(icn::util::derive_seed(seed, file_id, op, tag));
-}
-
-}  // namespace
 
 DiskFaultPlan::DiskFaultPlan(DiskFaultPlanParams params)
     : params_(params) {
@@ -38,34 +18,36 @@ DiskFaultPlan::DiskFaultPlan(DiskFaultPlanParams params)
 std::optional<std::uint64_t> DiskFaultPlan::short_write_keep(
     std::uint64_t file_id, std::uint64_t op, std::uint64_t len) const {
   if (len <= 1) return std::nullopt;
-  auto rng = op_rng(params_.seed, file_id, op, kTagShortWrite);
-  if (!rng.bernoulli(params_.short_write_rate)) return std::nullopt;
-  return static_cast<std::uint64_t>(
-      rng.uniform_int(1, static_cast<std::int64_t>(len) - 1));
+  auto rng = seeded(params_.seed, file_id, op, Tag::kShortWrite);
+  const std::uint64_t keep =
+      draw_count(rng, params_.short_write_rate, len - 1);
+  if (keep == 0) return std::nullopt;
+  return keep;
 }
 
 bool DiskFaultPlan::write_error(std::uint64_t file_id,
                                 std::uint64_t op) const {
-  auto rng = op_rng(params_.seed, file_id, op, kTagWriteError);
-  return rng.bernoulli(params_.write_error_rate);
+  return seeded(params_.seed, file_id, op, Tag::kWriteError)
+      .bernoulli(params_.write_error_rate);
 }
 
 std::int64_t DiskFaultPlan::enospc_run_starting(std::uint64_t file_id,
                                                 std::uint64_t op) const {
-  auto rng = op_rng(params_.seed, file_id, op, kTagNoSpace);
-  if (!rng.bernoulli(params_.enospc_rate)) return 0;
-  return rng.uniform_int(1, params_.enospc_max_run);
+  auto rng = seeded(params_.seed, file_id, op, Tag::kNoSpace);
+  return static_cast<std::int64_t>(
+      draw_count(rng, params_.enospc_rate,
+                 static_cast<std::uint64_t>(params_.enospc_max_run)));
 }
 
 bool DiskFaultPlan::fsync_fails(std::uint64_t file_id,
                                 std::uint64_t op) const {
-  auto rng = op_rng(params_.seed, file_id, op, kTagFsyncFail);
-  return rng.bernoulli(params_.fsync_fail_rate);
+  return seeded(params_.seed, file_id, op, Tag::kFsyncFail)
+      .bernoulli(params_.fsync_fail_rate);
 }
 
 DiskFaultPlan::BlockFate DiskFaultPlan::crash_block_fate(
     std::uint64_t file_id, std::uint64_t block_offset) const {
-  auto rng = op_rng(params_.seed, file_id, block_offset, kTagCrashFate);
+  auto rng = seeded(params_.seed, file_id, block_offset, Tag::kCrashFate);
   const double drop = std::min(params_.crash_drop_rate, 1.0);
   const double tear = std::min(params_.crash_tear_rate, 1.0 - drop);
   const double u = rng.uniform();
@@ -78,7 +60,7 @@ std::uint64_t DiskFaultPlan::crash_tear_keep(std::uint64_t file_id,
                                              std::uint64_t block_offset,
                                              std::uint64_t block_len) const {
   if (block_len == 0) return 0;
-  auto rng = op_rng(params_.seed, file_id, block_offset, kTagCrashTear);
+  auto rng = seeded(params_.seed, file_id, block_offset, Tag::kCrashTear);
   return static_cast<std::uint64_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(block_len) - 1));
 }
@@ -97,6 +79,13 @@ FaultyVfs::FileState& FaultyVfs::state_for(const std::string& path) {
     it = files_.emplace(path, st).first;
   }
   return it->second;
+}
+
+void FaultyVfs::log(std::uint64_t file_id, std::uint64_t op, FaultKind kind,
+                    std::uint64_t a, std::uint64_t b) {
+  ledger_.push_back({file_id, static_cast<std::int64_t>(op), kind,
+                     static_cast<std::int64_t>(a),
+                     static_cast<std::int64_t>(b)});
 }
 
 void FaultyVfs::maybe_crash(const std::string& path, const char* op) {
@@ -144,19 +133,15 @@ std::size_t FaultyVfs::write(icn::store::VfsFile& file,
     st.enospc_left = plan_.enospc_run_starting(st.file_id, op);
   }
   if (st.enospc_left > 0) {
-    ledger_.push_back({static_cast<std::size_t>(st.file_id),
-                       static_cast<std::int64_t>(op), FaultKind::kNoSpace,
-                       st.enospc_left,
-                       static_cast<std::int64_t>(bytes.size())});
+    log(st.file_id, op, FaultKind::kNoSpace,
+        static_cast<std::uint64_t>(st.enospc_left), bytes.size());
     --st.enospc_left;
     throw icn::util::IoError(file.path +
                              ": write failed: no space left on device "
                              "(injected)");
   }
   if (plan_.write_error(st.file_id, op)) {
-    ledger_.push_back({static_cast<std::size_t>(st.file_id),
-                       static_cast<std::int64_t>(op), FaultKind::kWriteError,
-                       0, static_cast<std::int64_t>(bytes.size())});
+    log(st.file_id, op, FaultKind::kWriteError, 0, bytes.size());
     throw icn::util::IoError(file.path +
                              ": write failed: input/output error (injected)");
   }
@@ -164,10 +149,7 @@ std::size_t FaultyVfs::write(icn::store::VfsFile& file,
   if (const auto keep =
           plan_.short_write_keep(st.file_id, op, bytes.size())) {
     to_write = bytes.first(static_cast<std::size_t>(*keep));
-    ledger_.push_back({static_cast<std::size_t>(st.file_id),
-                       static_cast<std::int64_t>(op), FaultKind::kShortWrite,
-                       static_cast<std::int64_t>(*keep),
-                       static_cast<std::int64_t>(bytes.size())});
+    log(st.file_id, op, FaultKind::kShortWrite, *keep, bytes.size());
   }
   // Deliver the (possibly shortened) span in full so the count the caller
   // sees is exactly the planned one.
@@ -200,9 +182,7 @@ void FaultyVfs::fsync(icn::store::VfsFile& file) {
   const std::uint64_t op = st.fsync_ops++;
   ++ops_;
   if (plan_.fsync_fails(st.file_id, op)) {
-    ledger_.push_back({static_cast<std::size_t>(st.file_id),
-                       static_cast<std::int64_t>(op), FaultKind::kFsyncFail,
-                       0, 0});
+    log(st.file_id, op, FaultKind::kFsyncFail, 0, 0);
     throw icn::util::IoError(file.path +
                              ": fsync failed: input/output error (injected)");
   }
@@ -339,20 +319,12 @@ std::vector<std::string> FaultyVfs::apply_crash() {
                 plan_.crash_tear_keep(st->file_id, b0, hi - lo);
             if (keep > 0) highest = std::max(highest, lo + keep);
             if (keep < hi - lo) zero_ranges.emplace_back(lo + keep, hi);
-            ledger_.push_back({static_cast<std::size_t>(st->file_id),
-                               static_cast<std::int64_t>(ops_),
-                               FaultKind::kCrashTear,
-                               static_cast<std::int64_t>(b0),
-                               static_cast<std::int64_t>(keep)});
+            log(st->file_id, ops_, FaultKind::kCrashTear, b0, keep);
             break;
           }
           case DiskFaultPlan::BlockFate::kDropped:
             zero_ranges.emplace_back(lo, hi);
-            ledger_.push_back({static_cast<std::size_t>(st->file_id),
-                               static_cast<std::int64_t>(ops_),
-                               FaultKind::kCrashDrop,
-                               static_cast<std::int64_t>(b0),
-                               static_cast<std::int64_t>(hi - lo)});
+            log(st->file_id, ops_, FaultKind::kCrashDrop, b0, hi - lo);
             break;
         }
       }
@@ -374,11 +346,8 @@ std::vector<std::string> FaultyVfs::apply_crash() {
       inner_->ftruncate(file, highest);
       inner_->fsync(file);
       inner_->close(file);
-      ledger_.push_back({static_cast<std::size_t>(st->file_id),
-                         static_cast<std::int64_t>(ops_),
-                         FaultKind::kPowerCut,
-                         static_cast<std::int64_t>(cur - synced),
-                         static_cast<std::int64_t>(highest - synced)});
+      log(st->file_id, ops_, FaultKind::kPowerCut, cur - synced,
+          highest - synced);
       st->max_size = highest;
       st->synced_size = std::min(st->synced_size, highest);
       affected.push_back(*path);

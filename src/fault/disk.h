@@ -188,6 +188,8 @@ class FaultyVfs : public icn::store::Vfs {
       /* requires mu_ held */;
   void maybe_crash(const std::string& path, const char* op)
       /* requires mu_ held; throws SimulatedCrash */;
+  void log(std::uint64_t file_id, std::uint64_t op, FaultKind kind,
+           std::uint64_t a, std::uint64_t b) /* requires mu_ held */;
 
   DiskFaultPlan plan_;
   Vfs* inner_;

@@ -1,64 +1,51 @@
 #include "fault/plan.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
+#include "fault/seeded.h"
 #include "util/error.h"
-#include "util/rng.h"
 
 namespace icn::fault {
 namespace {
 
-// Independent substream tags so the decision for one fault class can never
-// perturb another (derive_seed(seed, probe, hour, tag)).
-enum : std::uint64_t {
-  kTagDropout = 1,
-  kTagTransient = 2,
-  kTagDuplicate = 3,
-  kTagReorder = 4,
-  kTagSkew = 5,
-  kTagTruncate = 6,
-  kTagBitFlip = 7,
-  kTagFieldFuzz = 8,
-  kTagOutage = 9,
-  kTagRestart = 10,
+struct KindInfo {
+  const char* name;
+  const char* site;  ///< Label of FaultEvent::site in a ledger line.
+  const char* at;    ///< Label of FaultEvent::at.
 };
 
-icn::util::Rng cell_rng(std::uint64_t seed, std::size_t probe,
-                        std::int64_t hour, std::uint64_t tag) {
-  return icn::util::Rng(icn::util::derive_seed(
-      seed, probe, static_cast<std::uint64_t>(hour), tag));
+/// Ledger vocabulary, indexed by FaultKind.
+constexpr KindInfo kKinds[] = {
+    {"dropout", "probe", "hour"},     {"transient", "probe", "hour"},
+    {"duplicate", "probe", "hour"},   {"reorder", "probe", "hour"},
+    {"skew", "probe", "hour"},        {"truncate", "probe", "hour"},
+    {"bitflip", "probe", "hour"},     {"poison", "probe", "hour"},
+    {"fieldfuzz", "probe", "hour"},   {"siteoutage", "probe", "hour"},
+    {"restart", "probe", "hour"},     {"shortwrite", "file", "op"},
+    {"writeerror", "file", "op"},     {"enospc", "file", "op"},
+    {"fsyncfail", "file", "op"},      {"powercut", "file", "op"},
+    {"crashdrop", "file", "op"},      {"crashtear", "file", "op"},
+    {"partial_read", "conn", "tick"}, {"short_write", "conn", "tick"},
+    {"stall", "conn", "tick"},        {"corrupt", "conn", "tick"},
+    {"reset", "conn", "tick"},
+};
+static_assert(std::size(kKinds) ==
+              static_cast<std::size_t>(FaultKind::kReset) + 1);
+
+const KindInfo& info(FaultKind kind) {
+  return kKinds[static_cast<std::size_t>(kind)];
 }
 
 }  // namespace
 
-std::string to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDropout: return "dropout";
-    case FaultKind::kTransient: return "transient";
-    case FaultKind::kDuplicate: return "duplicate";
-    case FaultKind::kReorder: return "reorder";
-    case FaultKind::kSkew: return "skew";
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kBitFlip: return "bitflip";
-    case FaultKind::kPoison: return "poison";
-    case FaultKind::kFieldFuzz: return "fieldfuzz";
-    case FaultKind::kSiteOutage: return "siteoutage";
-    case FaultKind::kRestart: return "restart";
-    case FaultKind::kShortWrite: return "shortwrite";
-    case FaultKind::kWriteError: return "writeerror";
-    case FaultKind::kNoSpace: return "enospc";
-    case FaultKind::kFsyncFail: return "fsyncfail";
-    case FaultKind::kPowerCut: return "powercut";
-    case FaultKind::kCrashDrop: return "crashdrop";
-    case FaultKind::kCrashTear: return "crashtear";
-  }
-  return "unknown";
-}
+std::string to_string(FaultKind kind) { return info(kind).name; }
 
 std::string to_string(const FaultEvent& event) {
-  return "probe=" + std::to_string(event.probe) +
-         " hour=" + std::to_string(event.hour) + " " + to_string(event.kind) +
+  const KindInfo& k = info(event.kind);
+  return std::string(k.site) + "=" + std::to_string(event.site) + " " +
+         k.at + "=" + std::to_string(event.at) + " " + k.name +
          " a=" + std::to_string(event.a) + " b=" + std::to_string(event.b);
 }
 
@@ -95,6 +82,9 @@ FaultPlan::FaultPlan(FaultPlanParams params) : params_(std::move(params)) {
   bitflip_.assign(params_.num_probes, std::nullopt);
   fuzz_count_.assign(cells, 0);
   outage_idx_.assign(cells, -1);
+  const auto draw = [this](std::size_t probe, std::int64_t hour, Tag tag) {
+    return seeded(params_.seed, probe, static_cast<std::uint64_t>(hour), tag);
+  };
 
   // Correlated site outages are scheduled first, from one global per-hour
   // substream, so every probe in the mask agrees on the shared window.
@@ -106,12 +96,12 @@ FaultPlan::FaultPlan(FaultPlanParams params) : params_(std::move(params)) {
                 "outage probe set size");
     std::int64_t h = 0;
     while (h < params_.num_hours) {
-      auto rng = cell_rng(params_.seed, 0, h, kTagOutage);
-      if (rng.uniform() < params_.outage_rate) {
+      auto rng = draw(0, h, Tag::kOutage);
+      if (const auto drawn = draw_count(
+              rng, params_.outage_rate,
+              static_cast<std::uint64_t>(params_.outage_max_hours))) {
         const std::int64_t len = std::min<std::int64_t>(
-            1 + static_cast<std::int64_t>(rng.uniform_index(
-                    static_cast<std::uint64_t>(params_.outage_max_hours))),
-            params_.num_hours - h);
+            static_cast<std::int64_t>(drawn), params_.num_hours - h);
         const std::size_t extra =
             params_.num_probes - params_.outage_min_probes;
         const std::size_t size =
@@ -153,12 +143,12 @@ FaultPlan::FaultPlan(FaultPlanParams params) : params_(std::move(params)) {
         ++h;
         continue;
       }
-      auto rng = cell_rng(params_.seed, p, h, kTagDropout);
-      if (rng.uniform() < params_.dropout_rate) {
+      auto rng = draw(p, h, Tag::kDropout);
+      if (const auto drawn = draw_count(
+              rng, params_.dropout_rate,
+              static_cast<std::uint64_t>(params_.dropout_max_hours))) {
         std::int64_t len = std::min<std::int64_t>(
-            1 + static_cast<std::int64_t>(rng.uniform_index(
-                    static_cast<std::uint64_t>(params_.dropout_max_hours))),
-            params_.num_hours - h);
+            static_cast<std::int64_t>(drawn), params_.num_hours - h);
         for (std::int64_t d = 1; d < len; ++d) {
           if (outage_idx_[cell(p, h + d)] >= 0) {
             len = d;
@@ -175,50 +165,30 @@ FaultPlan::FaultPlan(FaultPlanParams params) : params_(std::move(params)) {
     for (h = 0; h < params_.num_hours; ++h) {
       // Dropped / outage hours have no batch to fault.
       if (dropped_[cell(p, h)] != 0 || outage_idx_[cell(p, h)] >= 0) continue;
-      {
-        auto rng = cell_rng(params_.seed, p, h, kTagTransient);
-        if (rng.uniform() < params_.transient_rate) {
-          transient_[cell(p, h)] =
-              1 + static_cast<std::int64_t>(rng.uniform_index(
-                      static_cast<std::uint64_t>(
-                          params_.transient_max_failures)));
-        }
+      const std::size_t c = cell(p, h);
+      auto transient = draw(p, h, Tag::kTransient);
+      transient_[c] = static_cast<std::int64_t>(draw_count(
+          transient, params_.transient_rate,
+          static_cast<std::uint64_t>(params_.transient_max_failures)));
+      duplicate_[c] =
+          draw(p, h, Tag::kDuplicate).bernoulli(params_.duplicate_rate);
+      reorder_[c] = draw(p, h, Tag::kReorder).bernoulli(params_.reorder_rate);
+      auto skew = draw(p, h, Tag::kSkew);
+      skew_[c] = static_cast<std::int64_t>(
+          draw_count(skew, params_.skew_rate,
+                     static_cast<std::uint64_t>(params_.skew_max_delay)));
+      auto truncate = draw(p, h, Tag::kTruncate);
+      if (truncate.bernoulli(params_.truncate_rate)) {
+        truncate_frac_[c] = truncate.uniform(0.0, 0.95);
       }
-      {
-        auto rng = cell_rng(params_.seed, p, h, kTagDuplicate);
-        duplicate_[cell(p, h)] = rng.uniform() < params_.duplicate_rate;
-      }
-      {
-        auto rng = cell_rng(params_.seed, p, h, kTagReorder);
-        reorder_[cell(p, h)] = rng.uniform() < params_.reorder_rate;
-      }
-      {
-        auto rng = cell_rng(params_.seed, p, h, kTagSkew);
-        if (rng.uniform() < params_.skew_rate) {
-          skew_[cell(p, h)] =
-              1 + static_cast<std::int64_t>(rng.uniform_index(
-                      static_cast<std::uint64_t>(params_.skew_max_delay)));
-        }
-      }
-      {
-        auto rng = cell_rng(params_.seed, p, h, kTagTruncate);
-        if (rng.uniform() < params_.truncate_rate) {
-          truncate_frac_[cell(p, h)] = rng.uniform(0.0, 0.95);
-        }
-      }
-      {
-        auto rng = cell_rng(params_.seed, p, h, kTagFieldFuzz);
-        if (rng.uniform() < params_.field_fuzz_rate) {
-          fuzz_count_[cell(p, h)] =
-              1 + static_cast<std::int64_t>(rng.uniform_index(
-                      static_cast<std::uint64_t>(
-                          params_.field_fuzz_max_records)));
-        }
-      }
+      auto fuzz = draw(p, h, Tag::kFieldFuzz);
+      fuzz_count_[c] = static_cast<std::int64_t>(draw_count(
+          fuzz, params_.field_fuzz_rate,
+          static_cast<std::uint64_t>(params_.field_fuzz_max_records)));
     }
     {
-      auto rng = cell_rng(params_.seed, p, 0, kTagBitFlip);
-      if (rng.uniform() < params_.bitflip_rate) {
+      auto rng = draw(p, 0, Tag::kBitFlip);
+      if (rng.bernoulli(params_.bitflip_rate)) {
         BitFlipSpec spec;
         spec.section_frac = rng.uniform();
         spec.byte_frac = rng.uniform();
@@ -284,7 +254,7 @@ std::uint64_t FaultPlan::reorder_seed(std::size_t probe,
                                       std::int64_t hour) const {
   return icn::util::derive_seed(params_.seed, probe,
                                 static_cast<std::uint64_t>(hour),
-                                kTagReorder + 100);
+                                static_cast<std::uint64_t>(Tag::kReorderSeed));
 }
 
 std::int64_t FaultPlan::fuzz_record_count(std::size_t probe,
@@ -294,9 +264,9 @@ std::int64_t FaultPlan::fuzz_record_count(std::size_t probe,
 
 std::uint64_t FaultPlan::fuzz_seed(std::size_t probe,
                                    std::int64_t hour) const {
-  return icn::util::derive_seed(params_.seed, probe,
-                                static_cast<std::uint64_t>(hour),
-                                kTagFieldFuzz + 100);
+  return icn::util::derive_seed(
+      params_.seed, probe, static_cast<std::uint64_t>(hour),
+      static_cast<std::uint64_t>(Tag::kFieldFuzzSeed));
 }
 
 const OutageSpec* FaultPlan::outage_covering(std::size_t probe,
@@ -308,7 +278,7 @@ const OutageSpec* FaultPlan::outage_covering(std::size_t probe,
 
 std::int64_t FaultPlan::restart_tick_budget(std::size_t epoch) const {
   ICN_REQUIRE(epoch < params_.restart_count, "restart epoch index");
-  auto rng = cell_rng(params_.seed, epoch, 0, kTagRestart);
+  auto rng = seeded(params_.seed, epoch, 0, Tag::kRestart);
   const auto span = static_cast<std::uint64_t>(params_.restart_max_ticks -
                                                params_.restart_min_ticks + 1);
   return params_.restart_min_ticks +

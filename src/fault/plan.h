@@ -1,19 +1,18 @@
-// Seeded, deterministic fault planning for the multi-probe ingest plant.
+// Seeded, deterministic fault planning for the multi-probe ingest plant,
+// and the one ledger every fault family of this module writes to.
 //
 // ERRANT-style realism (PAPERS.md): a measurement plant must be exercised
 // under degraded operating conditions, not just the happy path. A FaultPlan
 // turns one 64-bit seed into a complete schedule of faults over (probe,
 // event-hour) cells — probe dropout windows, stalls, transient pull
 // failures, duplicated/reordered/skewed/truncated batches, checkpoint bit
-// flips, poisoned probes — with no wall-clock time or global RNG state
-// anywhere: every decision is a pure function of
-// derive_seed(seed, probe, hour, fault-tag), so two runs with the same seed
-// face byte-identical hostility.
+// flips, poisoned probes — drawn by the shared core in fault/seeded.h, so
+// two runs with the same seed face byte-identical hostility.
 //
-// Every fault actually injected (by fault::FaultyFeed or
-// fault::corrupt_snapshot) is appended to a FaultLedger — the replayable
-// audit trail that reproducibility tests compare across runs and that a
-// human reads to see exactly what the plant survived.
+// Every fault actually injected by a feed, disk or transport shim is
+// appended to a FaultLedger — the replayable audit trail that
+// reproducibility tests compare across runs and that a human reads to see
+// exactly what the plant survived.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +49,9 @@ enum class FaultKind : std::uint8_t {
                ///< the next epoch resumes from the durable checkpoints.
 
   // Disk faults (injected by fault::FaultyVfs; see fault/disk.h). For these
-  // `probe` carries the Vfs file id (files numbered in first-open order) and
-  // `hour` the per-file operation index the fault struck at.
+  // `site` is the Vfs file id (files numbered in first-open order) and `at`
+  // the per-file operation index the fault struck at (the global op count
+  // for the crash-model kinds).
   kShortWrite,  ///< write() delivered only a of the requested b bytes.
   kWriteError,  ///< write() failed with an injected I/O error (EIO model).
   kNoSpace,     ///< write() failed with an injected ENOSPC; a = ops left in
@@ -64,20 +64,33 @@ enum class FaultKind : std::uint8_t {
                 ///< (b bytes zeroed or truncated away).
   kCrashTear,   ///< Crash model tore the unsynced block at offset a, keeping
                 ///< only b bytes of it.
+
+  // Transport faults (injected by fault::FaultyTransport; see
+  // fault/transport.h). For these `site` is the connection id and `at` the
+  // reactor tick.
+  kPartialRead,   ///< Tick rx budget a bytes; this read delivered b.
+  kPartialWrite,  ///< Tick tx budget a bytes; this write accepted b.
+  kStall,         ///< Connection frozen this tick (both directions).
+  kCorrupt,       ///< Received byte at stream offset a XOR'd with mask b.
+  kReset,         ///< Connection killed a ticks after its first I/O.
 };
 
 [[nodiscard]] std::string to_string(FaultKind kind);
 
-/// One injected fault. `a`/`b` are kind-specific (see FaultKind).
+/// One injected fault at (site, at). What the site and position are, and
+/// what `a`/`b` mean, depends on the kind's family (see FaultKind).
 struct FaultEvent {
-  std::size_t probe = 0;
-  std::int64_t hour = 0;
+  std::uint64_t site = 0;
+  std::int64_t at = 0;
   FaultKind kind{};
   std::int64_t a = 0;
   std::int64_t b = 0;
   bool operator==(const FaultEvent&) const = default;
 };
 
+/// One ledger line, labelled per family: "probe=… hour=…" (feed),
+/// "file=… op=…" (disk) or "conn=… tick=…" (transport), then the kind
+/// name and "a=… b=…".
 [[nodiscard]] std::string to_string(const FaultEvent& event);
 
 /// Injection-order audit trail; equal-seed runs must produce equal ledgers.

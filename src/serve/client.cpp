@@ -34,17 +34,9 @@ const char* to_string(ClientErrorKind kind) {
 
 std::uint64_t backoff_delay_ms(const ClientOptions& options,
                                std::uint32_t attempt) {
-  // Shift capped at 20: beyond that any base >= 1 ms already exceeds every
-  // sane backoff_max_ms, and 1 << 63 would overflow.
-  const std::uint64_t shifted =
-      options.backoff_base_ms << std::min<std::uint32_t>(attempt, 20);
-  const std::uint64_t raw = std::min(options.backoff_max_ms, shifted);
-  if (raw <= 1) return raw;
-  // Deterministic jitter in [raw/2, raw): equal (seed, attempt) pairs sleep
-  // equally on every platform, so seeded chaos tests replay exactly.
-  icn::util::Rng rng(
-      icn::util::derive_seed(options.jitter_seed, attempt));
-  return raw / 2 + rng.uniform_index(raw - raw / 2);
+  return icn::util::backoff_delay(options.backoff_base_ms,
+                                  options.backoff_max_ms, attempt,
+                                  options.jitter_seed, 0);
 }
 
 QueryClient::QueryClient(std::uint16_t port, const ClientOptions& options)

@@ -62,9 +62,10 @@ struct ClientOptions {
   std::uint64_t jitter_seed = 1;
 };
 
-/// Backoff before retry `attempt` (0-based): capped exponential with
-/// deterministic jitter in [raw/2, raw), raw = min(max, base << attempt).
-/// Pure function of (options, attempt) — seeded tests replay it exactly.
+/// Backoff before retry `attempt` (0-based): util::backoff_delay over the
+/// options' base, cap and jitter seed — jitter in [raw/2, raw),
+/// raw = min(max, base << attempt). Pure function of (options, attempt), so
+/// seeded tests replay it exactly.
 [[nodiscard]] std::uint64_t backoff_delay_ms(const ClientOptions& options,
                                              std::uint32_t attempt);
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "util/env.h"
 #include "util/error.h"
 
 namespace icn::serve {
@@ -20,71 +21,53 @@ namespace {
                            std::strerror(errno));
 }
 
-/// Parses a positive integer env var; throws EnvConfigError on garbage.
-std::uint64_t parse_env_u64(const char* name, const char* value,
-                            std::uint64_t min, std::uint64_t max) {
-  std::string v;
-  for (const char* p = value; *p != '\0'; ++p) {
-    if (*p == ' ' || *p == '\t') continue;
-    v += *p;
-  }
-  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-    throw icn::util::EnvConfigError(
-        std::string(name) + "=\"" + value +
-        "\" is not a non-negative integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0' || parsed < min ||
-      parsed > max) {
-    throw icn::util::EnvConfigError(
-        std::string(name) + "=\"" + value + "\" is outside [" +
-        std::to_string(min) + ", " + std::to_string(max) + "]");
-  }
-  return parsed;
-}
+/// One integer ICN_SERVE_* knob: its variable, accepted range, and field.
+struct EnvKnob {
+  const char* name;
+  std::uint64_t min;
+  std::uint64_t max;
+  void (*apply)(ServeConfig&, std::uint64_t);
+};
+
+constexpr std::uint64_t kKnobMax = 1u << 30;
+
+// Floor of 64 on MAX_FRAME: below the reply header + a small error detail
+// nothing could ever be answered.
+constexpr EnvKnob kEnvKnobs[] = {
+    {"ICN_SERVE_MAX_CONNS", 1, 1u << 20,
+     [](ServeConfig& c, std::uint64_t v) { c.max_connections = v; }},
+    {"ICN_SERVE_MAX_FRAME", 64, kKnobMax,
+     [](ServeConfig& c, std::uint64_t v) { c.max_frame = v; }},
+    {"ICN_SERVE_WRITE_BUF", 4096, kKnobMax,
+     [](ServeConfig& c, std::uint64_t v) { c.write_high_water = v; }},
+    {"ICN_SERVE_RATE", 0, kKnobMax,
+     [](ServeConfig& c, std::uint64_t v) {
+       c.rate_tokens_per_tick = static_cast<std::uint32_t>(v);
+     }},
+    {"ICN_SERVE_RATE_BURST", 0, kKnobMax,
+     [](ServeConfig& c, std::uint64_t v) {
+       c.rate_burst = static_cast<std::uint32_t>(v);
+     }},
+    {"ICN_SERVE_IDLE_TICKS", 0, kKnobMax,
+     [](ServeConfig& c, std::uint64_t v) { c.idle_deadline_ticks = v; }},
+    {"ICN_SERVE_REQUEST_TICKS", 0, kKnobMax,
+     [](ServeConfig& c, std::uint64_t v) { c.request_deadline_ticks = v; }},
+    {"ICN_SERVE_DRAIN_TICKS", 1, kKnobMax,
+     [](ServeConfig& c, std::uint64_t v) { c.drain_deadline_ticks = v; }},
+};
 
 }  // namespace
 
 ServeConfig ServeConfig::from_env() {
   ServeConfig config;
-  if (const char* v = std::getenv("ICN_SERVE_MAX_CONNS")) {
-    config.max_connections = static_cast<std::size_t>(
-        parse_env_u64("ICN_SERVE_MAX_CONNS", v, 1, 1u << 20));
-  }
-  if (const char* v = std::getenv("ICN_SERVE_MAX_FRAME")) {
-    // Floor of 64: below the reply header + a small error detail nothing
-    // could ever be answered.
-    config.max_frame = static_cast<std::size_t>(
-        parse_env_u64("ICN_SERVE_MAX_FRAME", v, 64, 1u << 30));
-  }
-  if (const char* v = std::getenv("ICN_SERVE_WRITE_BUF")) {
-    config.write_high_water = static_cast<std::size_t>(
-        parse_env_u64("ICN_SERVE_WRITE_BUF", v, 4096, 1u << 30));
-  }
-  if (const char* v = std::getenv("ICN_SERVE_RATE")) {
-    config.rate_tokens_per_tick = static_cast<std::uint32_t>(
-        parse_env_u64("ICN_SERVE_RATE", v, 0, 1u << 30));
-  }
-  if (const char* v = std::getenv("ICN_SERVE_RATE_BURST")) {
-    config.rate_burst = static_cast<std::uint32_t>(
-        parse_env_u64("ICN_SERVE_RATE_BURST", v, 0, 1u << 30));
+  for (const EnvKnob& knob : kEnvKnobs) {
+    if (const auto v = icn::util::parse_env_uint(
+            knob.name, std::getenv(knob.name), knob.min, knob.max)) {
+      knob.apply(config, *v);
+    }
   }
   if (config.rate_tokens_per_tick > 0 && config.rate_burst == 0) {
     config.rate_burst = config.rate_tokens_per_tick;
-  }
-  if (const char* v = std::getenv("ICN_SERVE_IDLE_TICKS")) {
-    config.idle_deadline_ticks =
-        parse_env_u64("ICN_SERVE_IDLE_TICKS", v, 0, 1u << 30);
-  }
-  if (const char* v = std::getenv("ICN_SERVE_REQUEST_TICKS")) {
-    config.request_deadline_ticks =
-        parse_env_u64("ICN_SERVE_REQUEST_TICKS", v, 0, 1u << 30);
-  }
-  if (const char* v = std::getenv("ICN_SERVE_DRAIN_TICKS")) {
-    config.drain_deadline_ticks =
-        parse_env_u64("ICN_SERVE_DRAIN_TICKS", v, 1, 1u << 30);
   }
   return config;
 }

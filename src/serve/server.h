@@ -30,7 +30,8 @@
 
 namespace icn::serve {
 
-/// Server knobs. from_env() reads the ICN_SERVE_* variables and throws
+/// Server knobs. from_env() reads the ICN_SERVE_* variables through
+/// icn::util::parse_env_uint (a blank value counts as unset) and throws
 /// icn::util::EnvConfigError on anything it cannot interpret, so a config
 /// typo fails loudly at startup instead of silently serving defaults.
 struct ServeConfig {

@@ -1,8 +1,8 @@
 // The byte-transport seam under Session (DESIGN.md §9.7).
 //
 // Session does all of its socket I/O through this interface so the serve
-// chaos tests can slide a fault-injecting shim (serve/fault.h) between the
-// state machine and the kernel without touching the state machine itself.
+// chaos tests can slide a fault-injecting shim (fault/transport.h) between
+// the state machine and the kernel without touching the state machine.
 // The production path pays one virtual call per read/write — noise next to
 // the syscall it wraps.
 //

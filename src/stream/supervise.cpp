@@ -244,19 +244,13 @@ void FeedSupervisor::run() {
 
 std::int64_t FeedSupervisor::backoff_delay(std::size_t feed,
                                            std::size_t attempt) const {
+  // Attempts count from 1 here; the jitter key is the feed, so concurrent
+  // feeds desynchronize while equal-seed runs replay the exact schedule.
   const auto& b = params_.backoff;
-  // Capped exponential: initial * 2^(attempt-1), saturating at max_ticks.
-  std::int64_t base = b.max_ticks;
-  const std::size_t shift = attempt - 1;
-  if (shift < 62 && b.initial_ticks <= (b.max_ticks >> shift)) {
-    base = b.initial_ticks << shift;
-  }
-  // Deterministic jitter in [0, base / 2] so equal-seed runs reproduce the
-  // exact schedule while concurrent feeds still desynchronize.
-  const auto jitter = static_cast<std::int64_t>(
-      icn::util::derive_seed(b.jitter_seed, feed, attempt) %
-      static_cast<std::uint64_t>(base / 2 + 1));
-  return base + jitter;
+  return static_cast<std::int64_t>(icn::util::backoff_delay(
+      static_cast<std::uint64_t>(b.initial_ticks),
+      static_cast<std::uint64_t>(b.max_ticks), attempt - 1, b.jitter_seed,
+      feed));
 }
 
 void FeedSupervisor::poll(std::size_t feed) {

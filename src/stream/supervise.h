@@ -10,9 +10,10 @@
 //  * Heartbeat: a feed that returns "stalled" for stall_timeout_ticks past
 //    its last accepted batch is flagged (and kept polled — probes come back).
 //  * Retry/backoff: TransientFeedError schedules a retry after a capped
-//    exponential backoff plus a deterministic jitter derived from
-//    (jitter_seed, feed, attempt). More than max_retries consecutive
-//    failures trip the circuit breaker: the feed is quarantined.
+//    exponential backoff (util::backoff_delay) with a deterministic jitter
+//    in [raw/2, raw) derived from (jitter_seed, feed, attempt), so no delay
+//    exceeds max_ticks. More than max_retries consecutive failures trip the
+//    circuit breaker: the feed is quarantined.
 //  * Quarantine: repeated corrupt batches (truncated deliveries, out-of-range
 //    records) or exhausted retries permanently remove the feed from polling;
 //    its already-validated data is kept and its coverage stops there.
@@ -53,7 +54,7 @@ struct BackoffParams {
   std::int64_t max_ticks = 16;     ///< Cap on the exponential delay.
   /// Consecutive transient failures tolerated before quarantine.
   std::size_t max_retries = 6;
-  /// Seed of the deterministic jitter added to each backoff delay.
+  /// Seed of the deterministic jitter of each backoff delay.
   std::uint64_t jitter_seed = 0x1CEB00DAULL;
 };
 

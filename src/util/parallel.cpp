@@ -6,6 +6,8 @@
 #include <limits>
 #include <string>
 
+#include "util/env.h"
+
 namespace icn::util {
 namespace {
 
@@ -112,30 +114,13 @@ std::size_t ThreadPool::configured_threads() {
 }
 
 std::size_t ThreadPool::parse_thread_count(const char* value) {
-  if (value == nullptr) return 0;
-  const char* p = value;
-  while (*p == ' ' || *p == '\t') ++p;
-  if (*p == '\0') return 0;  // blank, same as unset
-  // strtoull silently accepts a leading minus sign and wraps; only a plain
-  // digit string is a valid count. Anything else is a configuration typo and
-  // must fail loudly, not fall back to a default the operator did not pick.
-  char* end = nullptr;
-  const unsigned long long parsed =
-      (*p >= '0' && *p <= '9') ? std::strtoull(p, &end, 10) : 0;
-  bool valid = end != nullptr && end != p;
-  if (valid) {
-    while (*end == ' ' || *end == '\t') ++end;
-    valid = *end == '\0';
-  }
-  if (!valid) {
-    throw EnvConfigError(std::string("ICN_THREADS=\"") + value +
-                         "\" is not a thread count (expected a plain "
-                         "non-negative integer; 0 or unset = hardware "
-                         "default)");
-  }
-  // Cap at a sane bound: a typo like ICN_THREADS=10000 should not try to
+  // Capped at a sane bound: a typo like ICN_THREADS=10000 should not try to
   // spawn ten thousand OS threads.
-  constexpr unsigned long long kMaxThreads = 512;
+  constexpr std::uint64_t kMaxThreads = 512;
+  const std::uint64_t parsed =
+      parse_env_uint("ICN_THREADS", value, 0,
+                     std::numeric_limits<std::uint64_t>::max())
+          .value_or(0);
   return static_cast<std::size_t>(std::min(parsed, kMaxThreads));
 }
 

@@ -100,10 +100,11 @@ class ThreadPool {
 
   /// Parses an ICN_THREADS-style value. Returns 0 when the value is unset,
   /// empty, or the explicit "0" (all meaning "use the hardware default");
-  /// returns the count (capped at 512) for a plain digit string. Any other
-  /// value — negative, non-numeric, trailing junk — throws EnvConfigError:
-  /// a typo must not silently hand the pool a default the operator did not
-  /// choose.
+  /// returns the count (capped at 512) for a plain digit string, blanks
+  /// trimmed from the ends only (util::parse_env_uint). Any other value —
+  /// negative, non-numeric, trailing junk, inner blanks — throws
+  /// EnvConfigError: a typo must not silently hand the pool a default the
+  /// operator did not choose.
   [[nodiscard]] static std::size_t parse_thread_count(const char* value);
 
   /// RAII override of the pool used by parallel_for/parallel_reduce, for

@@ -46,6 +46,16 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
   return derive_seed(derive_seed(seed, a, b), c);
 }
 
+std::uint64_t backoff_delay(std::uint64_t initial, std::uint64_t cap,
+                            std::uint64_t attempt, std::uint64_t seed,
+                            std::uint64_t key) {
+  std::uint64_t raw = cap;
+  if (attempt < 64 && initial <= (cap >> attempt)) raw = initial << attempt;
+  if (raw <= 1) return raw;
+  Rng rng(derive_seed(seed, key, attempt));
+  return raw / 2 + rng.uniform_index(raw - raw / 2);
+}
+
 Rng::Rng(std::uint64_t seed) {
   // Expand the seed through SplitMix64 as recommended by the xoshiro authors.
   std::uint64_t x = seed;

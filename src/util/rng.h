@@ -32,6 +32,18 @@ namespace icn::util {
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a,
                                         std::uint64_t b, std::uint64_t c);
 
+/// Retry backoff shared by every retrying path (feed supervisor, query
+/// client): raw = min(cap, initial << attempt) for the 0-based `attempt`,
+/// saturating instead of overflowing, then a deterministic jitter in
+/// [raw/2, raw) drawn from (seed, key, attempt) — so the delay never exceeds
+/// `cap`, equal inputs replay exactly, and callers with distinct keys
+/// desynchronize. Returns raw itself when raw <= 1.
+[[nodiscard]] std::uint64_t backoff_delay(std::uint64_t initial,
+                                          std::uint64_t cap,
+                                          std::uint64_t attempt,
+                                          std::uint64_t seed,
+                                          std::uint64_t key);
+
 /// Deterministic, implementation-independent random engine with the
 /// distribution helpers needed by the traffic models.
 class Rng {

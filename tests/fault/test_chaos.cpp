@@ -307,7 +307,7 @@ TEST(ChaosSweepTest, BitFlippedCheckpointIsQuarantinedByRecovery) {
   ASSERT_TRUE(corrupt_snapshot(snap.path(), 0, plan, ledger));
   ASSERT_EQ(ledger.size(), 1u);
   EXPECT_EQ(ledger[0].kind, FaultKind::kBitFlip);
-  const std::int64_t flipped_hour = ledger[0].hour;
+  const std::int64_t flipped_hour = ledger[0].at;
 
   // The mapped reader refuses the damaged file outright...
   EXPECT_THROW((void)store::MappedSnapshot(snap.path()),

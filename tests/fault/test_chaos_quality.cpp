@@ -220,11 +220,11 @@ TEST(ChaosQualityTest, CorrelatedOutageIsOneEventAndSharedGaps) {
   ASSERT_EQ(outage_events.size(), plan.outages().size());
   for (std::size_t i = 0; i < outage_events.size(); ++i) {
     const OutageSpec& outage = plan.outages()[i];
-    EXPECT_EQ(outage_events[i].hour, outage.hour);
+    EXPECT_EQ(outage_events[i].at, outage.hour);
     EXPECT_EQ(outage_events[i].a, outage.len);
     EXPECT_EQ(outage_events[i].b, static_cast<std::int64_t>(outage.probes));
-    EXPECT_TRUE(outage.affects(outage_events[i].probe));
-    for (std::size_t p = 0; p < outage_events[i].probe; ++p) {
+    EXPECT_TRUE(outage.affects(outage_events[i].site));
+    for (std::size_t p = 0; p < outage_events[i].site; ++p) {
       EXPECT_FALSE(outage.affects(p)) << "outage " << i;
     }
   }

@@ -158,11 +158,18 @@ TEST(FaultPlanTest, PreconditionsEnforced) {
 
 TEST(FaultPlanTest, LedgerFormatsOneLinePerEvent) {
   const FaultLedger ledger = {{0, 5, FaultKind::kDropout, 2, 0},
-                              {1, 9, FaultKind::kTruncate, 3, 7}};
+                              {1, 9, FaultKind::kTruncate, 3, 7},
+                              {2, 4, FaultKind::kShortWrite, 10, 64},
+                              {3, 8, FaultKind::kPartialWrite, 16, 12}};
   const std::string text = to_text(ledger);
   EXPECT_NE(text.find("probe=0 hour=5 dropout a=2 b=0"), std::string::npos);
   EXPECT_NE(text.find("probe=1 hour=9 truncate a=3 b=7"), std::string::npos);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
+  // Disk and transport kinds label their site and position for what they
+  // are: a Vfs file id and op index, a connection and tick.
+  EXPECT_NE(text.find("file=2 op=4 shortwrite a=10 b=64"), std::string::npos);
+  EXPECT_NE(text.find("conn=3 tick=8 short_write a=16 b=12"),
+            std::string::npos);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
 }
 
 TEST(ReorderTest, PreservesPerAntennaOrderAndMultiset) {

@@ -6,7 +6,7 @@
 // quarantine, the live kHealth opcode, and the concurrent chaos soak —
 // resilient clients × faulty transports × hot swaps, every completed reply
 // byte-exact against dispatch_request's deterministic recomputation.
-#include "serve/fault.h"
+#include "fault/transport.h"
 
 #include <gtest/gtest.h>
 
@@ -34,6 +34,12 @@
 
 namespace icn::serve {
 namespace {
+
+using fault::FaultKind;
+using fault::FaultLedger;
+using fault::FaultyTransport;
+using fault::ServeFaultPlan;
+using fault::ServeFaultPlanParams;
 
 /// Unique file path in the test temp dir; removed on destruction.
 class TempFile {
@@ -202,7 +208,7 @@ TEST(FaultyTransportTest, RxBudgetIsPerTickNotPerCall) {
   const ServeFaultPlan plan(params);
   auto mem = std::make_unique<MemoryTransport>();
   MemoryTransport* raw = mem.get();
-  ServeFaultLedger ledger;
+  FaultLedger ledger;
   FaultyTransport transport(std::move(mem), &plan, /*conn=*/0, &ledger);
   for (int i = 0; i < 100; ++i) raw->rx.push_back(0xAB);
 
@@ -217,9 +223,9 @@ TEST(FaultyTransportTest, RxBudgetIsPerTickNotPerCall) {
   const std::size_t budget2 = plan.rx_budget(0, 2);
   EXPECT_EQ(static_cast<std::size_t>(transport.read_some(buf, 2)), budget2);
   ASSERT_GE(ledger.size(), 2u);
-  EXPECT_EQ(ledger[0].kind, ServeFaultKind::kPartialRead);
-  EXPECT_EQ(ledger[0].tick, 1u);
-  EXPECT_EQ(ledger[0].a, budget1);
+  EXPECT_EQ(ledger[0].kind, FaultKind::kPartialRead);
+  EXPECT_EQ(ledger[0].at, 1u);
+  EXPECT_EQ(static_cast<std::size_t>(ledger[0].a), budget1);
 }
 
 TEST(FaultyTransportTest, CorruptionMatchesPlanByStreamOffset) {
@@ -229,7 +235,7 @@ TEST(FaultyTransportTest, CorruptionMatchesPlanByStreamOffset) {
   const ServeFaultPlan plan(params);
   auto mem = std::make_unique<MemoryTransport>();
   MemoryTransport* raw = mem.get();
-  ServeFaultLedger ledger;
+  FaultLedger ledger;
   FaultyTransport transport(std::move(mem), &plan, /*conn=*/5, &ledger);
 
   std::vector<std::uint8_t> sent(256);
@@ -261,7 +267,7 @@ TEST(FaultyTransportTest, CorruptionMatchesPlanByStreamOffset) {
   EXPECT_GT(corrupted, 0u);
   std::size_t corrupt_events = 0;
   for (const auto& event : ledger) {
-    if (event.kind == ServeFaultKind::kCorrupt) ++corrupt_events;
+    if (event.kind == FaultKind::kCorrupt) ++corrupt_events;
   }
   EXPECT_EQ(corrupt_events, corrupted);
 }
@@ -275,7 +281,7 @@ TEST(FaultyTransportTest, ResetFiresAtPlannedLifetime) {
   const ServeFaultPlan plan(params);
   auto mem = std::make_unique<MemoryTransport>();
   MemoryTransport* raw = mem.get();
-  ServeFaultLedger ledger;
+  FaultLedger ledger;
   FaultyTransport transport(std::move(mem), &plan, /*conn=*/2, &ledger);
   for (int i = 0; i < 100; ++i) raw->rx.push_back(1);
 
@@ -288,10 +294,10 @@ TEST(FaultyTransportTest, ResetFiresAtPlannedLifetime) {
   EXPECT_TRUE(raw->closed);
   std::size_t resets = 0;
   for (const auto& event : ledger) {
-    if (event.kind == ServeFaultKind::kReset) {
+    if (event.kind == FaultKind::kReset) {
       ++resets;
-      EXPECT_EQ(event.tick, 13u);
-      EXPECT_EQ(event.a, 3u);
+      EXPECT_EQ(event.at, 13);
+      EXPECT_EQ(event.a, 3);
     }
   }
   EXPECT_EQ(resets, 1u);  // Logged once, not per call.
@@ -305,7 +311,7 @@ TEST(FaultyTransportTest, StallFreezesBothDirections) {
   const ServeFaultPlan plan(params);
   auto mem = std::make_unique<MemoryTransport>();
   mem->rx.push_back(7);
-  ServeFaultLedger ledger;
+  FaultLedger ledger;
   FaultyTransport transport(std::move(mem), &plan, /*conn=*/0, &ledger);
   std::uint8_t buf[8];
   EXPECT_EQ(transport.read_some(buf, 1), 0);
@@ -313,9 +319,9 @@ TEST(FaultyTransportTest, StallFreezesBothDirections) {
   EXPECT_EQ(transport.read_some(buf, 2), 0);
   // One kStall per stalled tick that saw I/O, regardless of call count.
   ASSERT_EQ(ledger.size(), 2u);
-  EXPECT_EQ(ledger[0].kind, ServeFaultKind::kStall);
-  EXPECT_EQ(ledger[0].tick, 1u);
-  EXPECT_EQ(ledger[1].tick, 2u);
+  EXPECT_EQ(ledger[0].kind, FaultKind::kStall);
+  EXPECT_EQ(ledger[0].at, 1u);
+  EXPECT_EQ(ledger[1].at, 2u);
 }
 
 // --- Deterministic step-mode fault replay --------------------------------
@@ -348,7 +354,7 @@ std::vector<std::vector<std::uint8_t>> scripted_burst(std::uint64_t seed) {
 }
 
 struct FaultyRun {
-  ServeFaultLedger ledger;
+  FaultLedger ledger;
   std::vector<std::vector<std::uint8_t>> requests;  ///< Frame payloads.
   std::vector<std::vector<std::uint8_t>> replies;   ///< Frame payloads.
 };
@@ -464,7 +470,7 @@ TEST(ServeChaosTest, CorruptedStreamMatchesShadowReplay) {
   params.seed = 777;
   params.corrupt_rate = 0.01;  // ~4 corrupted bytes over the burst.
   const ServeFaultPlan plan(params);
-  ServeFaultLedger ledger;
+  FaultLedger ledger;
   server.set_transport_factory(
       [&plan, &ledger](std::unique_ptr<Transport> inner, std::uint64_t conn) {
         return std::make_unique<FaultyTransport>(std::move(inner), &plan,

@@ -22,12 +22,16 @@
 #include <thread>
 #include <vector>
 
-#include "serve/fault.h"
+#include "fault/transport.h"
 #include "serve/server.h"
 #include "util/socket.h"
 
 namespace icn::serve {
 namespace {
+
+using fault::FaultyTransport;
+using fault::ServeFaultPlan;
+using fault::ServeFaultPlanParams;
 
 /// A raw listener the test scripts byte-by-byte: accept one connection, run
 /// `script` against it on a background thread, close.

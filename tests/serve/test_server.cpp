@@ -345,6 +345,11 @@ TEST(ServeServerTest, EnvConfigRejectsGarbage) {
   EXPECT_THROW((void)ServeConfig::from_env(), icn::util::EnvConfigError);
   ::setenv("ICN_SERVE_MAX_CONNS", "0", 1);  // Below the floor of 1.
   EXPECT_THROW((void)ServeConfig::from_env(), icn::util::EnvConfigError);
+  // Inner blanks split two numbers; they must not be squeezed into one.
+  ::setenv("ICN_SERVE_MAX_CONNS", "1 0", 1);
+  EXPECT_THROW((void)ServeConfig::from_env(), icn::util::EnvConfigError);
+  ::setenv("ICN_SERVE_MAX_CONNS", "4\t2", 1);
+  EXPECT_THROW((void)ServeConfig::from_env(), icn::util::EnvConfigError);
   ::unsetenv("ICN_SERVE_MAX_CONNS");
 
   ::setenv("ICN_SERVE_RATE", "7", 1);

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -221,17 +222,21 @@ TEST(FeedSupervisorTest, TransientFailuresRetryWithDeterministicBackoff) {
     }
   }
   ASSERT_EQ(retries.size(), 2u);
-  // Delay = initial << (attempt-1), plus jitter in [0, delay/2] derived from
-  // (jitter_seed, feed, attempt) — recomputable, never random.
+  // raw = min(max_ticks, initial << (attempt-1)); the delay is a jitter in
+  // [raw/2, raw) drawn from (jitter_seed, feed, attempt-1) — recomputable,
+  // never random, and never above the cap.
   for (std::size_t i = 0; i < retries.size(); ++i) {
     const auto attempt = static_cast<std::size_t>(retries[i].a);
     EXPECT_EQ(attempt, i + 1);
-    const std::int64_t base = params.backoff.initial_ticks
-                              << (attempt - 1);
-    const auto jitter = static_cast<std::int64_t>(
-        icn::util::derive_seed(params.backoff.jitter_seed, 0, attempt) %
-        static_cast<std::uint64_t>(base / 2 + 1));
-    EXPECT_EQ(retries[i].b, base + jitter);
+    const std::int64_t raw = std::min(
+        params.backoff.max_ticks, params.backoff.initial_ticks
+                                      << (attempt - 1));
+    icn::util::Rng rng(
+        icn::util::derive_seed(params.backoff.jitter_seed, 0, attempt - 1));
+    const std::int64_t jitter = static_cast<std::int64_t>(
+        rng.uniform_index(static_cast<std::uint64_t>(raw - raw / 2)));
+    EXPECT_EQ(retries[i].b, raw / 2 + jitter);
+    EXPECT_LE(retries[i].b, params.backoff.max_ticks);
   }
 }
 

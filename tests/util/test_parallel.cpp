@@ -147,6 +147,7 @@ TEST(ThreadPoolTest, GarbageIcnThreadsThrowsTypedError) {
   EXPECT_THROW((void)ThreadPool::parse_thread_count(" -3"), EnvConfigError);
   EXPECT_THROW((void)ThreadPool::parse_thread_count("3.5"), EnvConfigError);
   EXPECT_THROW((void)ThreadPool::parse_thread_count("+4"), EnvConfigError);
+  EXPECT_THROW((void)ThreadPool::parse_thread_count("1 0"), EnvConfigError);
   try {
     (void)ThreadPool::parse_thread_count("4x");
     FAIL() << "expected EnvConfigError";
