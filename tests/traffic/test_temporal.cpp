@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "util/calendar.h"
 #include "util/error.h"
@@ -14,6 +17,52 @@ namespace {
 
 using icn::util::Date;
 using icn::util::Weekday;
+
+/// FNV-1a over the raw bytes of `series`, continuing from `h`.
+std::uint64_t fnv1a(const std::vector<double>& series, std::uint64_t h) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(series.data());
+  for (std::size_t i = 0; i < series.size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Digest of an antenna's total series followed by every service series.
+std::uint64_t antenna_digest(const TemporalModel& temporal,
+                             std::size_t antenna) {
+  std::uint64_t h = fnv1a(temporal.hourly_total_series(antenna),
+                          0xcbf29ce484222325ULL);
+  const std::size_t services = temporal.demand().archetypes().catalog().size();
+  for (std::size_t j = 0; j < services; ++j) {
+    h = fnv1a(temporal.hourly_service_series(antenna, j), h);
+  }
+  return h;
+}
+
+/// First green-archetype antenna in `env` whose city passes `city_ok` and
+/// whose site has at least one event.
+template <typename CityPred>
+std::optional<std::size_t> find_green_venue(const TemporalModel& temporal,
+                                            net::Environment env,
+                                            CityPred&& city_ok) {
+  const auto& demand = temporal.demand();
+  const auto& indoor = demand.topology().indoor();
+  for (std::size_t i = 0; i < indoor.size(); ++i) {
+    if (archetype_group(demand.archetype_labels()[i]) != ClusterGroup::kGreen)
+      continue;
+    if (indoor[i].environment != env || !city_ok(indoor[i].city)) continue;
+    if (!temporal.site_events(i).empty()) return i;
+  }
+  return std::nullopt;
+}
+
+bool has_event(const TemporalModel& temporal, std::size_t antenna,
+               const std::string& label) {
+  for (const auto& ev : temporal.site_events(antenna)) {
+    if (ev.label == label) return true;
+  }
+  return false;
+}
 
 class TemporalModelTest : public ::testing::Test {
  protected:
@@ -347,6 +396,73 @@ TEST_F(TemporalModelTest, ServiceSeriesSumToTotalSeries) {
   for (std::size_t t = 0; t < acc.size(); t += 37) {
     EXPECT_NEAR(acc[t], total[t], 1e-9 * std::max(1.0, total[t]))
         << "hour " << t;
+  }
+}
+
+TEST_F(TemporalModelTest, SeriesDigestsArePinned) {
+  // Bit-exact pins of the generator: an FNV-1a digest over the raw bytes of
+  // the total series and all service series of one antenna per archetype,
+  // the three venue-event paths, and a noise-free run. Every Fig 10/11
+  // heatmap is a median of these series, so a speed-up of the generator
+  // must leave each digest unchanged.
+  const TemporalModel noisy = make(25.0);
+  const TemporalModel quiet = make(0.0);
+  struct Case {
+    std::string name;
+    const TemporalModel* temporal;
+    std::size_t antenna;
+    std::uint64_t digest;
+  };
+  std::vector<Case> cases;
+  const std::uint64_t kArchetypeDigests[kNumArchetypes] = {
+      0x66f15d67b0feb46aULL, 0xc4b091d93ca2b247ULL, 0xec5dc3ba0e515cf1ULL,
+      0x8b2f855dd3815b1eULL, 0xf6a6a6e81c1738a1ULL, 0x3e3d29332c4822dfULL,
+      0x0ce7feb05134ca53ULL, 0xf3fa3a374a06387bULL, 0x9d01b0baf41dd800ULL,
+  };
+  for (int a = 0; a < static_cast<int>(kNumArchetypes); ++a) {
+    const auto antenna = find_antenna(a);
+    ASSERT_TRUE(antenna.has_value()) << "archetype " << a;
+    cases.push_back({"archetype " + std::to_string(a), &noisy, *antenna,
+                     kArchetypeDigests[a]});
+  }
+
+  const auto paris_arena =
+      find_green_venue(noisy, net::Environment::kStadium, net::is_paris);
+  ASSERT_TRUE(paris_arena.has_value());
+  ASSERT_TRUE(has_event(noisy, *paris_arena, "NBA Paris Game"));
+  cases.push_back(
+      {"Paris arena", &noisy, *paris_arena, 0x9d01b0baf41dd800ULL});
+
+  // The fixture's topology has no green Lyon expo; the paper-scale one
+  // (same seed) does.
+  net::TopologyParams paper_params;
+  paper_params.seed = 21;
+  paper_params.outdoor_ratio = 0.0;
+  const net::Topology paper_topology = net::Topology::generate(paper_params);
+  const DemandModel paper_demand(paper_topology, archetypes_, DemandParams{});
+  const TemporalModel paper(paper_demand, TemporalParams{});
+  const auto lyon_expo = find_green_venue(
+      paper, net::Environment::kExpo,
+      [](net::City c) { return c == net::City::kLyon; });
+  ASSERT_TRUE(lyon_expo.has_value());
+  ASSERT_TRUE(has_event(paper, *lyon_expo, "Sirha Lyon"));
+  cases.push_back({"Lyon expo", &paper, *lyon_expo, 0xcf549aa0de62cf58ULL});
+
+  const auto other_expo = find_green_venue(
+      noisy, net::Environment::kExpo,
+      [](net::City c) { return c != net::City::kLyon; });
+  ASSERT_TRUE(other_expo.has_value());
+  ASSERT_TRUE(has_event(noisy, *other_expo, "trade fair"));
+  cases.push_back(
+      {"non-Lyon expo", &noisy, *other_expo, 0xc0df56b61bee710dULL});
+
+  cases.push_back(
+      {"noise-free Paris arena", &quiet, *paris_arena, 0xdab6636d71f53a9aULL});
+
+  for (const auto& c : cases) {
+    const std::uint64_t got = antenna_digest(*c.temporal, c.antenna);
+    EXPECT_EQ(got, c.digest) << c.name << " (antenna " << c.antenna
+                             << "): got 0x" << std::hex << got;
   }
 }
 
