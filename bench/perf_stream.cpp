@@ -139,31 +139,65 @@ void BM_IngestFaultyVfs(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestFaultyVfs)->Unit(benchmark::kMillisecond);
 
-std::vector<stream::FeedBatch> feed_script(std::size_t records_per_hour,
-                                           std::uint64_t seed) {
-  std::vector<probe::ServiceSession> sessions;
-  for (const auto& batch : hourly_batches(records_per_hour, seed)) {
-    sessions.insert(sessions.end(), batch.begin(), batch.end());
+constexpr std::size_t kFeeds = 4;
+
+/// Feed p's script: ~records_per_hour sessions an hour over its own
+/// antennas p * kAntennas ... p * kAntennas + kAntennas - 1, so every record
+/// lands on an antenna the feed tracks.
+std::vector<std::vector<stream::FeedBatch>> feed_scripts(
+    std::size_t records_per_hour) {
+  std::vector<std::vector<stream::FeedBatch>> scripts;
+  for (std::size_t p = 0; p < kFeeds; ++p) {
+    std::vector<probe::ServiceSession> sessions;
+    for (const auto& batch : hourly_batches(records_per_hour, 7 + p)) {
+      sessions.insert(sessions.end(), batch.begin(), batch.end());
+    }
+    for (auto& s : sessions) {
+      s.antenna_id += static_cast<std::uint32_t>(p * kAntennas);
+    }
+    scripts.push_back(stream::hourly_script(sessions, kHours));
   }
-  return stream::hourly_script(sessions, kHours);
+  return scripts;
+}
+
+/// The tracked antennas of feed p (see feed_scripts).
+std::vector<std::uint32_t> feed_antennas(std::size_t p) {
+  std::vector<std::uint32_t> ids = antenna_ids();
+  for (auto& id : ids) id += static_cast<std::uint32_t>(p * kAntennas);
+  return ids;
+}
+
+/// Records the supervisor accepted over all feeds. An accepted record on an
+/// antenna its feed does not track is dropped by the ingestor, so it would
+/// be credited without being ingested: that fails the bench.
+std::int64_t accepted_records(benchmark::State& state,
+                              const stream::FeedSupervisor& supervisor) {
+  std::int64_t records = 0;
+  for (std::size_t p = 0; p < kFeeds; ++p) {
+    const auto stats = supervisor.stats(p);
+    if (stats.untracked_dropped != 0) {
+      state.SkipWithError("a feed carried records of untracked antennas");
+    }
+    records += static_cast<std::int64_t>(stats.records_accepted);
+  }
+  return records;
 }
 
 void BM_SupervisedIngest(benchmark::State& state) {
   // Four clean feeds under full supervision (dedup set, validation,
   // coverage tracking, virtual clock). The gap to BM_StreamIngestShards is
   // the supervision overhead on the healthy path.
-  static const auto script = feed_script(1024, 7);
+  static const auto scripts = feed_scripts(1024);
   std::int64_t records = 0;
   for (auto _ : state) {
-    std::vector<stream::VectorFeed> sources(4, stream::VectorFeed(script));
+    std::vector<stream::VectorFeed> sources;
     std::vector<stream::FeedSpec> specs;
-    for (std::size_t p = 0; p < 4; ++p) {
+    sources.reserve(kFeeds);  // specs point into sources: no reallocation
+    for (std::size_t p = 0; p < kFeeds; ++p) {
+      sources.emplace_back(scripts[p]);
       stream::FeedSpec spec;
       spec.name = "p" + std::to_string(p);
-      for (std::size_t i = 0; i < kAntennas; ++i) {
-        spec.antenna_ids.push_back(
-            static_cast<std::uint32_t>(p * kAntennas + i));
-      }
+      spec.antenna_ids = feed_antennas(p);
       spec.source = &sources[p];
       specs.push_back(std::move(spec));
     }
@@ -173,7 +207,7 @@ void BM_SupervisedIngest(benchmark::State& state) {
     params.num_shards = 2;
     stream::FeedSupervisor supervisor(std::move(params), std::move(specs));
     supervisor.run();
-    records += static_cast<std::int64_t>(4 * script.size() * 1024);
+    records += accepted_records(state, supervisor);
     benchmark::DoNotOptimize(supervisor.merge());
   }
   state.SetItemsProcessed(records);
@@ -184,10 +218,10 @@ void BM_SupervisedIngestFaulty(benchmark::State& state) {
   // The same four feeds wrapped in a seeded FaultPlan (retries, duplicates,
   // truncated redeliveries, skew). The gap to BM_SupervisedIngest is the
   // cost of absorbing the faults.
-  static const auto script = feed_script(1024, 7);
+  static const auto scripts = feed_scripts(1024);
   fault::FaultPlanParams fault_params;
   fault_params.seed = 11;
-  fault_params.num_probes = 4;
+  fault_params.num_probes = kFeeds;
   fault_params.num_hours = kHours;
   fault_params.transient_rate = 0.10;
   fault_params.duplicate_rate = 0.15;
@@ -200,15 +234,12 @@ void BM_SupervisedIngestFaulty(benchmark::State& state) {
     fault::FaultLedger ledger;
     std::vector<std::unique_ptr<fault::FaultyFeed>> sources;
     std::vector<stream::FeedSpec> specs;
-    for (std::size_t p = 0; p < 4; ++p) {
-      sources.push_back(
-          std::make_unique<fault::FaultyFeed>(p, script, &plan, &ledger));
+    for (std::size_t p = 0; p < kFeeds; ++p) {
+      sources.push_back(std::make_unique<fault::FaultyFeed>(
+          p, scripts[p], &plan, &ledger));
       stream::FeedSpec spec;
       spec.name = "p" + std::to_string(p);
-      for (std::size_t i = 0; i < kAntennas; ++i) {
-        spec.antenna_ids.push_back(
-            static_cast<std::uint32_t>(p * kAntennas + i));
-      }
+      spec.antenna_ids = feed_antennas(p);
       spec.source = sources.back().get();
       specs.push_back(std::move(spec));
     }
@@ -222,10 +253,7 @@ void BM_SupervisedIngestFaulty(benchmark::State& state) {
     supervisor.run();
     // Credit only the records the supervisor absorbed: duplicates, late
     // records and rejects are work, not throughput.
-    for (std::size_t p = 0; p < 4; ++p) {
-      records +=
-          static_cast<std::int64_t>(supervisor.stats(p).records_accepted);
-    }
+    records += accepted_records(state, supervisor);
     benchmark::DoNotOptimize(supervisor.merge());
   }
   state.SetItemsProcessed(records);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -48,15 +49,19 @@ TemporalHeatmap build_heatmap(const traffic::TemporalModel& temporal,
   const std::size_t hours = days * 24;
 
   const auto members = cluster_members(labels, cluster, params);
-  // per-hour values across member antennas
-  std::vector<std::vector<double>> window_series;
-  window_series.reserve(members.size());
-  for (const std::size_t antenna : members) {
-    const std::vector<double> full = series_of(antenna);
-    window_series.emplace_back(
-        full.begin() + first_hour, full.begin() + first_hour +
-                                       static_cast<std::int64_t>(hours));
-  }
+  // Row a holds member a's window series. Series generation dominates, so
+  // the members fan out across the pool; each writes only its own row.
+  std::vector<double> window_series(members.size() * hours);
+  icn::util::parallel_for(
+      0, members.size(), icn::util::adaptive_grain(0, members.size()),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t a = lo; a < hi; ++a) {
+          const std::vector<double> full = series_of(members[a]);
+          std::copy_n(full.begin() + first_hour, hours,
+                      window_series.begin() +
+                          static_cast<std::ptrdiff_t>(a * hours));
+        }
+      });
 
   TemporalHeatmap map;
   map.window = params.window;
@@ -66,7 +71,7 @@ TemporalHeatmap build_heatmap(const traffic::TemporalModel& temporal,
   double peak = 0.0;
   for (std::size_t t = 0; t < hours; ++t) {
     for (std::size_t a = 0; a < members.size(); ++a) {
-      column[a] = window_series[a][t];
+      column[a] = window_series[a * hours + t];
     }
     const double med = icn::util::median(column);
     const std::size_t day = t / 24;

@@ -225,16 +225,18 @@ double TemporalModel::event_participation(ServiceCategory c) {
   return 0.5;
 }
 
-std::vector<double> TemporalModel::profile_grid(std::size_t antenna,
-                                                DiurnalProfile p,
-                                                double participation) const {
-  const auto& topo = demand_->topology();
-  ICN_REQUIRE(antenna < topo.indoor().size(), "antenna index");
+std::vector<double> TemporalModel::profile_grid(
+    std::size_t antenna, const std::vector<VenueEvent>& events,
+    DiurnalProfile p, double participation) const {
   ICN_REQUIRE(participation >= 0.0 && participation <= 1.0,
               "event participation");
   const int archetype = demand_->archetype_labels()[antenna];
-  const auto events = site_events(antenna);
   const icn::util::Date strike = icn::util::strike_day();
+
+  // day_shape x profile_shape depends on the day only through (weekday,
+  // strike day): tabulate each key's 24 hours the first time it is seen.
+  std::array<std::array<double, 24>, 14> shape{};
+  std::array<bool, 14> shape_ready{};
 
   const std::int64_t hours = period_.num_hours();
   std::vector<double> grid(static_cast<std::size_t>(hours));
@@ -244,31 +246,44 @@ std::vector<double> TemporalModel::profile_grid(std::size_t antenna,
                              static_cast<std::uint64_t>(
                                  participation * 1000.0))));
 
-  for (std::int64_t t = 0; t < hours; ++t) {
-    const std::int64_t d = t / 24;
-    const double hour = static_cast<double>(t % 24) + 0.5;
+  for (std::int64_t d = 0; d < period_.num_days(); ++d) {
     const icn::util::Date date = period_.date_at(d);
     const Weekday wd = date.weekday();
-    double w = day_shape(archetype, wd, date == strike, hour) *
-               profile_shape(p, wd, hour);
-    // Event boosts: crowd-driven services surge during the event (scaled by
-    // their participation); the kPostEvent profile (vehicular navigation)
-    // surges in the ~3h after it instead.
-    for (const auto& ev : events) {
-      if (p == DiurnalProfile::kPostEvent) {
-        if (ev.day == d && hour >= ev.end_hour &&
-            hour < ev.end_hour + 3.0) {
-          w += 0.12 * ev.boost;  // ambient * boost, shifted
-        }
-      } else if (ev.day == d && hour >= ev.start_hour &&
-                 hour < ev.end_hour) {
-        w += 0.14 * ev.boost * participation;
+    const bool strike_day = date == strike;
+    const std::size_t key =
+        static_cast<std::size_t>(wd) * 2 + (strike_day ? 1 : 0);
+    auto& day = shape[key];
+    if (!shape_ready[key]) {
+      for (int h = 0; h < 24; ++h) {
+        const double hour = static_cast<double>(h) + 0.5;
+        day[static_cast<std::size_t>(h)] =
+            day_shape(archetype, wd, strike_day, hour) *
+            profile_shape(p, wd, hour);
       }
+      shape_ready[key] = true;
     }
-    if (params_.noise_shape > 0.0) {
-      w *= noise_rng.gamma(params_.noise_shape, 1.0 / params_.noise_shape);
+    for (int h = 0; h < 24; ++h) {
+      const double hour = static_cast<double>(h) + 0.5;
+      double w = day[static_cast<std::size_t>(h)];
+      // Event boosts: crowd-driven services surge during the event (scaled
+      // by their participation); the kPostEvent profile (vehicular
+      // navigation) surges in the ~3h after it instead.
+      for (const auto& ev : events) {
+        if (p == DiurnalProfile::kPostEvent) {
+          if (ev.day == d && hour >= ev.end_hour &&
+              hour < ev.end_hour + 3.0) {
+            w += 0.12 * ev.boost;  // ambient * boost, shifted
+          }
+        } else if (ev.day == d && hour >= ev.start_hour &&
+                   hour < ev.end_hour) {
+          w += 0.14 * ev.boost * participation;
+        }
+      }
+      if (params_.noise_shape > 0.0) {
+        w *= noise_rng.gamma(params_.noise_shape, 1.0 / params_.noise_shape);
+      }
+      grid[static_cast<std::size_t>(d * 24 + h)] = w;
     }
-    grid[static_cast<std::size_t>(t)] = w;
   }
   return grid;
 }
@@ -279,7 +294,7 @@ std::vector<double> TemporalModel::hourly_service_series(
   ICN_REQUIRE(service < catalog.size(), "service index");
   const Service& svc = catalog.at(service);
   const double total = demand_->traffic_matrix()(antenna, service);
-  auto grid = profile_grid(antenna, svc.diurnal,
+  auto grid = profile_grid(antenna, site_events(antenna), svc.diurnal,
                            event_participation(svc.category));
   double sum = 0.0;
   for (const double w : grid) sum += w;
@@ -292,11 +307,20 @@ std::vector<double> TemporalModel::hourly_total_series(
     std::size_t antenna) const {
   const auto& catalog = demand_->archetypes().catalog();
   const auto& traffic = demand_->traffic_matrix();
+  const auto events = site_events(antenna);
   const std::size_t hours = static_cast<std::size_t>(period_.num_hours());
   std::vector<double> out(hours, 0.0);
-  // Group services by (diurnal profile, event participation) so each grid
-  // is computed once per distinct combination.
+  // A grid's noise seed and event boost see the category only through its
+  // participation, so the categories of one profile that share a
+  // participation share one grid: build each distinct grid (and its sum)
+  // once, and fold the (profile, category) groups in their fixed order.
+  struct Grid {
+    double participation;
+    std::vector<double> weights;
+    double sum;
+  };
   for (const DiurnalProfile p : kAllProfiles) {
+    std::vector<Grid> grids;
     for (std::size_t c = 0; c < kNumServiceCategories; ++c) {
       const auto category = static_cast<ServiceCategory>(c);
       double group_total = 0.0;
@@ -307,12 +331,22 @@ std::vector<double> TemporalModel::hourly_total_series(
         }
       }
       if (group_total == 0.0) continue;
-      auto grid = profile_grid(antenna, p, event_participation(category));
-      double sum = 0.0;
-      for (const double w : grid) sum += w;
-      ICN_REQUIRE(sum > 0.0, "degenerate temporal grid");
-      const double scale = group_total / sum;
-      for (std::size_t t = 0; t < hours; ++t) out[t] += scale * grid[t];
+      const double participation = event_participation(category);
+      auto grid = std::find_if(grids.begin(), grids.end(), [&](const Grid& g) {
+        return g.participation == participation;
+      });
+      if (grid == grids.end()) {
+        auto weights = profile_grid(antenna, events, p, participation);
+        double sum = 0.0;
+        for (const double w : weights) sum += w;
+        ICN_REQUIRE(sum > 0.0, "degenerate temporal grid");
+        grid = grids.insert(grids.end(),
+                            Grid{participation, std::move(weights), sum});
+      }
+      const double scale = group_total / grid->sum;
+      for (std::size_t t = 0; t < hours; ++t) {
+        out[t] += scale * grid->weights[t];
+      }
     }
   }
   return out;

@@ -94,11 +94,12 @@ class TemporalModel {
   icn::util::DateRange period_;
 
   /// Unnormalized weight grid of one diurnal profile at one antenna
-  /// (length = period().num_hours()); `participation` scales the venue-event
-  /// boost for the services using this grid.
-  [[nodiscard]] std::vector<double> profile_grid(std::size_t antenna,
-                                                 DiurnalProfile p,
-                                                 double participation) const;
+  /// (length = period().num_hours()); `events` is the antenna's
+  /// site_events() and `participation` scales their boost for the services
+  /// using this grid.
+  [[nodiscard]] std::vector<double> profile_grid(
+      std::size_t antenna, const std::vector<VenueEvent>& events,
+      DiurnalProfile p, double participation) const;
 };
 
 }  // namespace icn::traffic
