@@ -2,10 +2,10 @@
 // Ward NN-chain scaling, silhouette, RCA/RSCA transform throughput,
 // random-forest training, TreeSHAP vs KernelSHAP per explanation, the
 // probe-path aggregation throughput, the per-level SIMD kernels (distance,
-// x4 row-batched distance, RSCA row, labeled sums — including the opt-in
-// avx2fma lane), the tiled condensed-distance sweep, scratch-arena vs heap
-// allocation, CRC32C backends, the Hungarian assignment, seasonal batch
-// fitting, and the static-vs-stealing scheduler on a skewed workload. Emits
+// x4 row-batched distance, RSCA row, labeled sums), the tiled
+// condensed-distance sweep, scratch-arena vs heap allocation, CRC32C
+// backends, the Hungarian assignment, seasonal batch fitting, and the
+// work-stealing scheduler on a skewed workload. Emits
 // BENCH_perf_algorithms.json via bench/report.h.
 #include <benchmark/benchmark.h>
 
@@ -69,7 +69,8 @@ void BM_WardNnChain(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_WardNnChain)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)
+// 4762 is the paper's indoor antenna count (the production shape).
+BENCHMARK(BM_WardNnChain)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4762)
     ->Unit(benchmark::kMillisecond)->Complexity();
 
 // Threaded variants pin the pool size via ScopedOverride, so the numbers are
@@ -98,7 +99,7 @@ void BM_SilhouetteScore(benchmark::State& state) {
     benchmark::DoNotOptimize(ml::silhouette_score(dist, labels));
   }
 }
-BENCHMARK(BM_SilhouetteScore)->Arg(500)->Arg(1000)->Arg(2000)
+BENCHMARK(BM_SilhouetteScore)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4762)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SilhouetteScoreThreads(benchmark::State& state) {
@@ -255,24 +256,18 @@ BENCHMARK(BM_ProbeAggregation)->Unit(benchmark::kMillisecond);
 // value. Scalar (0) -> avx2 (2) is the measured value of the runtime
 // dispatch; the two lanes produce identical bits
 // (tests/ml/test_simd_dispatch.cpp, tests/ml/test_kernels_dispatch.cpp).
-// Level 4 is the opt-in avx2fma lane, parity-checked against its own
-// std::fma scalar reference. The sse2 (1) and avx512 (3) lanes were removed:
-// sse2 tied scalar on single-pair distances (1042 vs 1014 ns) and avx512 was
-// slower than avx2 (1587 vs 821 ns; labeled sums 6.5 vs 5.3 us).
+// The sse2 (1), avx512 (3) and avx2fma (4) lanes were removed: sse2 tied
+// scalar on single-pair distances (1042 vs 1014 ns), avx512 was slower than
+// avx2 (1587 vs 821 ns; labeled sums 6.5 vs 5.3 us), and avx2fma changed
+// bits for a kernel that is a small share of the cluster analysis.
 
-/// Registers the scalar, avx2 and avx2fma levels as the benchmark's args.
+/// Registers the scalar and avx2 levels as the benchmark's args.
 void simd_levels(benchmark::internal::Benchmark* b) {
-  for (const int level : {0, 2, 4}) b->Arg(level);
+  for (const int level : {0, 2}) b->Arg(level);
 }
 
-/// True when the per-level detail kernel may run on this CPU. The FMA lane
-/// sits outside the scalar < avx2 order, so it gets its own check.
+/// True when the per-level detail kernel may run on this CPU.
 bool level_runnable(icn::util::SimdLevel level) {
-  if (level == icn::util::SimdLevel::kAvx2Fma) {
-    return icn::util::max_supported_simd_level() >=
-               icn::util::SimdLevel::kAvx2 &&
-           icn::util::cpu_supports_fma();
-  }
   return level <= icn::util::max_supported_simd_level();
 }
 
@@ -298,9 +293,6 @@ void BM_SquaredEuclideanSimd(benchmark::State& state) {
         break;
       case icn::util::SimdLevel::kAvx2:
         d = ml::detail::squared_euclidean_avx2(a.data(), b.data(), kDim);
-        break;
-      case icn::util::SimdLevel::kAvx2Fma:
-        d = ml::detail::squared_euclidean_fma(a.data(), b.data(), kDim);
         break;
     }
     benchmark::DoNotOptimize(d);
@@ -338,10 +330,6 @@ void BM_SquaredEuclideanX4Simd(benchmark::State& state) {
         ml::detail::squared_euclidean_x4_avx2(a.data(), b.data(), kDim, kDim,
                                               out);
         break;
-      case icn::util::SimdLevel::kAvx2Fma:
-        ml::detail::squared_euclidean_x4_fma(a.data(), b.data(), kDim, kDim,
-                                             out);
-        break;
     }
     benchmark::DoNotOptimize(out);
   }
@@ -352,8 +340,7 @@ void BM_SquaredEuclideanX4Simd(benchmark::State& state) {
 BENCHMARK(BM_SquaredEuclideanX4Simd)->Apply(simd_levels)
     ->Unit(benchmark::kNanosecond);
 
-// Fused RSCA row transform per lane. Level 4 uses fnmadd/fmadd and is the
-// one lane allowed to differ in bits.
+// Fused RSCA row transform per lane.
 // args: {level}
 void BM_RscaRowSimd(benchmark::State& state) {
   const auto level = static_cast<icn::util::SimdLevel>(state.range(0));
@@ -380,9 +367,6 @@ void BM_RscaRowSimd(benchmark::State& state) {
         ml::detail::rsca_row_avx2(t.data(), s.data(), total, kDim,
                                   out.data());
         break;
-      case icn::util::SimdLevel::kAvx2Fma:
-        ml::detail::rsca_row_fma(t.data(), s.data(), total, kDim, out.data());
-        break;
     }
     benchmark::DoNotOptimize(out.data());
   }
@@ -392,9 +376,7 @@ void BM_RscaRowSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_RscaRowSimd)->Apply(simd_levels)->Unit(benchmark::kNanosecond);
 
-// Silhouette inner loop: per-cluster masked sums of a distance segment. The
-// avx2fma lane runs the avx2 kernel here (nothing to fuse), so it is not
-// registered.
+// Silhouette inner loop: per-cluster masked sums of a distance segment.
 // args: {level}
 void BM_LabeledSumsSimd(benchmark::State& state) {
   const auto level = static_cast<icn::util::SimdLevel>(state.range(0));
@@ -417,7 +399,6 @@ void BM_LabeledSumsSimd(benchmark::State& state) {
                                         kClusters, sums);
         break;
       case icn::util::SimdLevel::kAvx2:
-      case icn::util::SimdLevel::kAvx2Fma:
         ml::detail::labeled_sums_avx2(d.data(), labels.data(), kDim,
                                       kClusters, sums);
         break;
@@ -428,7 +409,7 @@ void BM_LabeledSumsSimd(benchmark::State& state) {
                           static_cast<std::int64_t>(kDim));
   state.SetLabel(icn::util::simd_level_name(level));
 }
-BENCHMARK(BM_LabeledSumsSimd)->Arg(0)->Arg(2)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_LabeledSumsSimd)->Apply(simd_levels)->Unit(benchmark::kNanosecond);
 
 // ---------------------------------------------------------------------------
 // Tiled condensed-distance construction. Every tile size produces
@@ -517,16 +498,13 @@ void BM_Crc32cHw(benchmark::State& state) {
 BENCHMARK(BM_Crc32cHw)->Arg(1 << 20)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
-// Scheduler: static block-dealing vs work-stealing on a deliberately skewed
-// workload (chunk i costs ~i work — a triangular profile like the condensed
-// distance rows). Same chunks, same outputs; only idle time differs.
-// args: {threads, schedule}
+// Scheduler: work-stealing on a deliberately skewed workload (chunk i costs
+// ~i work — a triangular profile like the condensed distance rows). Same
+// chunks, same outputs at every lane count; only idle time differs.
+// args: {threads}
 void BM_SchedulerSkewed(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto schedule = state.range(1) == 0
-                            ? icn::util::ThreadPool::Schedule::kStatic
-                            : icn::util::ThreadPool::Schedule::kSteal;
-  icn::util::ThreadPool::ScopedOverride pool(threads, schedule);
+  icn::util::ThreadPool::ScopedOverride pool(threads);
   state.counters["threads"] = static_cast<double>(threads);
   constexpr std::size_t kChunks = 512;
   std::vector<double> out(kChunks);
@@ -541,12 +519,9 @@ void BM_SchedulerSkewed(benchmark::State& state) {
         });
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetLabel(schedule == icn::util::ThreadPool::Schedule::kStatic
-                     ? "static"
-                     : "steal");
 }
 BENCHMARK(BM_SchedulerSkewed)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------

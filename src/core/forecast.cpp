@@ -133,8 +133,7 @@ void HoltWintersForecaster::fit(std::span<const double> series,
   // Initialization: level = mean of season 1; trend = mean season-over-
   // season change; seasonal = first-season deviations from the level. The
   // season sums go through the dispatched canonical-order kernel, so the
-  // initial state is the same under scalar, avx2 and avx2fma (whose sum
-  // kernel is the avx2 one: a plain sum has nothing to fuse).
+  // initial state is the same under the scalar and avx2 lanes.
   const double inv_m = 1.0 / static_cast<double>(m);
   const double mean1 = icn::ml::vector_sum(series.first(m)) * inv_m;
   const double mean2 = icn::ml::vector_sum(series.subspan(m, m)) * inv_m;

@@ -53,33 +53,6 @@ void squared_euclidean_x4_scalar(const double* a, const double* b,
   }
 }
 
-// The bits the avx2fma lane must reproduce: the canonical 4-lane structure
-// with each d*d + acc fused into a single rounding via std::fma. Portable
-// scalar code — this is the parity reference for the FMA kernels on any
-// hardware, and the fallback the public entry points never reach (the FMA
-// lane is rejected at resolve time on non-FMA CPUs).
-double squared_euclidean_fma_reference(const double* a, const double* b,
-                                       std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double d0 = a[i] - b[i];
-    const double d1 = a[i + 1] - b[i + 1];
-    const double d2 = a[i + 2] - b[i + 2];
-    const double d3 = a[i + 3] - b[i + 3];
-    s0 = std::fma(d0, d0, s0);
-    s1 = std::fma(d1, d1, s1);
-    s2 = std::fma(d2, d2, s2);
-    s3 = std::fma(d3, d3, s3);
-  }
-  double acc = (s0 + s2) + (s1 + s3);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc = std::fma(d, d, acc);
-  }
-  return acc;
-}
-
 double vector_sum_scalar(const double* xs, std::size_t n) {
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   std::size_t i = 0;
@@ -166,54 +139,6 @@ __attribute__((target("avx2"))) void squared_euclidean_x4_avx2(
   }
 }
 
-// ---- opt-in FMA lane ----------------------------------------------------
-
-__attribute__((target("avx2,fma"))) double squared_euclidean_fma(
-    const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    acc = _mm256_fmadd_pd(d, d, acc);
-  }
-  alignas(32) double s[4];
-  _mm256_store_pd(s, acc);
-  double total = (s[0] + s[2]) + (s[1] + s[3]);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    total = std::fma(d, d, total);
-  }
-  return total;
-}
-
-__attribute__((target("avx2,fma"))) void squared_euclidean_x4_fma(
-    const double* a, const double* b, std::size_t stride, std::size_t n,
-    double out[4]) {
-  __m256d acc[4];
-  for (int r = 0; r < 4; ++r) acc[r] = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d av = _mm256_loadu_pd(a + i);
-    for (int r = 0; r < 4; ++r) {
-      const __m256d d = _mm256_sub_pd(
-          av, _mm256_loadu_pd(b + static_cast<std::size_t>(r) * stride + i));
-      acc[r] = _mm256_fmadd_pd(d, d, acc[r]);
-    }
-  }
-  for (int r = 0; r < 4; ++r) {
-    const double* br = b + static_cast<std::size_t>(r) * stride;
-    alignas(32) double s[4];
-    _mm256_store_pd(s, acc[r]);
-    double total = (s[0] + s[2]) + (s[1] + s[3]);
-    for (std::size_t t = i; t < n; ++t) {
-      const double d = a[t] - br[t];
-      total = std::fma(d, d, total);
-    }
-    out[r] = total;
-  }
-}
-
 #else  // !ICN_ML_X86
 
 // Non-x86 builds: every lane aliases the scalar kernel — dispatch still
@@ -230,74 +155,16 @@ void squared_euclidean_x4_avx2(const double* a, const double* b,
                                double out[4]) {
   squared_euclidean_x4_scalar(a, b, stride, n, out);
 }
-double squared_euclidean_fma(const double* a, const double* b, std::size_t n) {
-  return squared_euclidean_fma_reference(a, b, n);
-}
-void squared_euclidean_x4_fma(const double* a, const double* b,
-                              std::size_t stride, std::size_t n,
-                              double out[4]) {
-  for (int r = 0; r < 4; ++r) {
-    out[r] = squared_euclidean_fma_reference(
-        a, b + static_cast<std::size_t>(r) * stride, n);
-  }
-}
 
 #endif  // ICN_ML_X86
 
 }  // namespace detail
 
-namespace {
-
-using SquaredEuclideanFn = double (*)(const double*, const double*,
-                                      std::size_t);
-using SquaredEuclideanX4Fn = void (*)(const double*, const double*,
-                                      std::size_t, std::size_t, double*);
-using VectorSumFn = double (*)(const double*, std::size_t);
-
-SquaredEuclideanFn pick_squared_euclidean() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::squared_euclidean_scalar;
-    case icn::util::SimdLevel::kAvx2:
-      return detail::squared_euclidean_avx2;
-    case icn::util::SimdLevel::kAvx2Fma:
-      return detail::squared_euclidean_fma;
-  }
-  return detail::squared_euclidean_scalar;
-}
-
-SquaredEuclideanX4Fn pick_squared_euclidean_x4() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::squared_euclidean_x4_scalar;
-    case icn::util::SimdLevel::kAvx2:
-      return detail::squared_euclidean_x4_avx2;
-    case icn::util::SimdLevel::kAvx2Fma:
-      return detail::squared_euclidean_x4_fma;
-  }
-  return detail::squared_euclidean_x4_scalar;
-}
-
-VectorSumFn pick_vector_sum() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::vector_sum_scalar;
-    case icn::util::SimdLevel::kAvx2:
-      return detail::vector_sum_avx2;
-    case icn::util::SimdLevel::kAvx2Fma:
-      // vector_sum has no multiply-add pairs to fuse; the avx2 kernel IS the
-      // FMA-lane kernel, so sums keep the canonical bits under avx2fma.
-      return detail::vector_sum_avx2;
-  }
-  return detail::vector_sum_scalar;
-}
-
-}  // namespace
-
 double squared_euclidean(std::span<const double> a,
                          std::span<const double> b) {
   ICN_REQUIRE(a.size() == b.size(), "distance dimensions");
-  static const SquaredEuclideanFn kernel = pick_squared_euclidean();
+  static const auto kernel = icn::util::pick_lane(
+      detail::squared_euclidean_scalar, detail::squared_euclidean_avx2);
   return kernel(a.data(), b.data(), a.size());
 }
 
@@ -306,7 +173,8 @@ double euclidean(std::span<const double> a, std::span<const double> b) {
 }
 
 double vector_sum(std::span<const double> xs) {
-  static const VectorSumFn kernel = pick_vector_sum();
+  static const auto kernel = icn::util::pick_lane(detail::vector_sum_scalar,
+                                                  detail::vector_sum_avx2);
   return kernel(xs.data(), xs.size());
 }
 
@@ -317,8 +185,10 @@ void fill_condensed(const Matrix& x, bool squared, std::span<double> out,
   ICN_REQUIRE(tile >= 1, "fill_condensed tile must be >= 1");
   ICN_REQUIRE(out.size() == n * (n - 1) / 2, "fill_condensed output length");
   if (n < 2) return;
-  static const SquaredEuclideanX4Fn kernel_x4 = pick_squared_euclidean_x4();
-  static const SquaredEuclideanFn kernel = pick_squared_euclidean();
+  static const auto kernel_x4 = icn::util::pick_lane(
+      detail::squared_euclidean_x4_scalar, detail::squared_euclidean_x4_avx2);
+  static const auto kernel = icn::util::pick_lane(
+      detail::squared_euclidean_scalar, detail::squared_euclidean_avx2);
   const double* base = x.data().data();
   double* d = out.data();
   const auto index = [n](std::size_t i, std::size_t j) {

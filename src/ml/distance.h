@@ -8,20 +8,12 @@
 // 0-3 tail elements add sequentially — so the vectors change speed, never
 // bits: ICN_SIMD=scalar output is byte-identical to the AVX2 lane.
 //
-// Two extensions on top of that contract:
-//
-//   - x4 row-batched kernels compute one query row against four consecutive
-//     matrix rows with four independent accumulator chains. Per output they
-//     run exactly the canonical order, so each of the four results is
-//     byte-identical to the single-pair kernel — the batching exists to break
-//     the add-latency dependency chain that bounds the single-accumulator
-//     kernels, not to change the math.
-//
-//   - The opt-in FMA lane (ICN_SIMD=avx2fma; see util/simd.h) fuses each
-//     d*d + acc into one rounding. That is a DIFFERENT canonical order —
-//     same lane structure, fused multiply-adds — so it is never auto-
-//     selected, and its parity reference is squared_euclidean_fma_reference
-//     (std::fma in the canonical 4-lane order), not the plain scalar kernel.
+// The x4 row-batched kernels extend that contract: they compute one query
+// row against four consecutive matrix rows with four independent accumulator
+// chains. Per output they run exactly the canonical order, so each of the
+// four results is byte-identical to the single-pair kernel — the batching
+// exists to break the add-latency dependency chain that bounds the
+// single-accumulator kernels, not to change the math.
 #pragma once
 
 #include <cstddef>
@@ -69,19 +61,6 @@ void squared_euclidean_x4_scalar(const double* a, const double* b,
 void squared_euclidean_x4_avx2(const double* a, const double* b,
                                std::size_t stride, std::size_t n,
                                double out[4]);
-
-// Opt-in FMA lane (ICN_SIMD=avx2fma). The vector kernels must only run on
-// AVX2+FMA hardware; the _reference kernel is portable scalar code using
-// std::fma in the canonical 4-lane order and defines the bits the FMA lane
-// must reproduce.
-[[nodiscard]] double squared_euclidean_fma_reference(const double* a,
-                                                     const double* b,
-                                                     std::size_t n);
-[[nodiscard]] double squared_euclidean_fma(const double* a, const double* b,
-                                           std::size_t n);
-void squared_euclidean_x4_fma(const double* a, const double* b,
-                              std::size_t stride, std::size_t n,
-                              double out[4]);
 
 }  // namespace detail
 

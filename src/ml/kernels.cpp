@@ -1,7 +1,6 @@
 #include "ml/kernels.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/error.h"
@@ -28,16 +27,6 @@ void rsca_row_scalar(const double* t, const double* s, double total,
   for (std::size_t j = 0; j < n; ++j) {
     const double u = total * s[j];
     const double r = (t[j] - u) / (t[j] + u);
-    out[j] = s[j] > 0.0 ? r : 0.0;
-  }
-}
-
-void rsca_row_fma_reference(const double* t, const double* s, double total,
-                            std::size_t n, double* out) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const double num = std::fma(-total, s[j], t[j]);
-    const double den = std::fma(total, s[j], t[j]);
-    const double r = num / den;
     out[j] = s[j] > 0.0 ? r : 0.0;
   }
 }
@@ -145,31 +134,6 @@ __attribute__((target("avx2"))) void rsca_row_avx2(const double* t,
   }
 }
 
-__attribute__((target("avx2,fma"))) void rsca_row_fma(const double* t,
-                                                      const double* s,
-                                                      double total,
-                                                      std::size_t n,
-                                                      double* out) {
-  const __m256d vt = _mm256_set1_pd(total);
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d sv = _mm256_loadu_pd(s + j);
-    const __m256d tv = _mm256_loadu_pd(t + j);
-    const __m256d num = _mm256_fnmadd_pd(vt, sv, tv);  // t - total*s, fused
-    const __m256d den = _mm256_fmadd_pd(vt, sv, tv);   // t + total*s, fused
-    const __m256d r = _mm256_div_pd(num, den);
-    _mm256_storeu_pd(out + j,
-                     _mm256_and_pd(r, _mm256_cmp_pd(sv, zero, _CMP_GT_OQ)));
-  }
-  for (; j < n; ++j) {
-    const double num = std::fma(-total, s[j], t[j]);
-    const double den = std::fma(total, s[j], t[j]);
-    const double r = num / den;
-    out[j] = s[j] > 0.0 ? r : 0.0;
-  }
-}
-
 __attribute__((target("avx2"))) void rsca_map_avx2(const double* v,
                                                    std::size_t n,
                                                    double* out) {
@@ -262,10 +226,6 @@ void rsca_row_avx2(const double* t, const double* s, double total,
                    std::size_t n, double* out) {
   rsca_row_scalar(t, s, total, n, out);
 }
-void rsca_row_fma(const double* t, const double* s, double total,
-                  std::size_t n, double* out) {
-  rsca_row_fma_reference(t, s, total, n, out);
-}
 void rsca_map_avx2(const double* v, std::size_t n, double* out) {
   rsca_map_scalar(v, n, out);
 }
@@ -283,88 +243,35 @@ void labeled_extrema_avx2(const double* d, const int* labels, int own,
 
 }  // namespace detail
 
-namespace {
-
-using RscaRowFn = void (*)(const double*, const double*, double, std::size_t,
-                           double*);
-using RscaMapFn = void (*)(const double*, std::size_t, double*);
-using LabeledSumsFn = void (*)(const double*, const int*, std::size_t,
-                               std::size_t, double*);
-using LabeledExtremaFn = void (*)(const double*, const int*, int, std::size_t,
-                                  double*, double*);
-
-RscaRowFn pick_rsca_row() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::rsca_row_scalar;
-    case icn::util::SimdLevel::kAvx2:
-      return detail::rsca_row_avx2;
-    case icn::util::SimdLevel::kAvx2Fma:
-      return detail::rsca_row_fma;
-  }
-  return detail::rsca_row_scalar;
-}
-
-RscaMapFn pick_rsca_map() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::rsca_map_scalar;
-    case icn::util::SimdLevel::kAvx2:
-    case icn::util::SimdLevel::kAvx2Fma:  // no multiply-add pairs to fuse
-      return detail::rsca_map_avx2;
-  }
-  return detail::rsca_map_scalar;
-}
-
-LabeledSumsFn pick_labeled_sums() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::labeled_sums_scalar;
-    case icn::util::SimdLevel::kAvx2:
-    case icn::util::SimdLevel::kAvx2Fma:  // no multiply-add pairs to fuse
-      return detail::labeled_sums_avx2;
-  }
-  return detail::labeled_sums_scalar;
-}
-
-LabeledExtremaFn pick_labeled_extrema() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::labeled_extrema_scalar;
-    case icn::util::SimdLevel::kAvx2:
-    case icn::util::SimdLevel::kAvx2Fma:  // compare/blend only, nothing fused
-      return detail::labeled_extrema_avx2;
-  }
-  return detail::labeled_extrema_scalar;
-}
-
-}  // namespace
-
 void rsca_row(std::span<const double> traffic, std::span<const double> shares,
               double row_total, std::span<double> out) {
   ICN_REQUIRE(traffic.size() == shares.size() && traffic.size() == out.size(),
               "rsca_row extents");
-  static const RscaRowFn kernel = pick_rsca_row();
+  static const auto kernel = icn::util::pick_lane(detail::rsca_row_scalar,
+                                                  detail::rsca_row_avx2);
   kernel(traffic.data(), shares.data(), row_total, traffic.size(), out.data());
 }
 
 void rsca_map(std::span<const double> rca, std::span<double> out) {
   ICN_REQUIRE(rca.size() == out.size(), "rsca_map extents");
-  static const RscaMapFn kernel = pick_rsca_map();
+  static const auto kernel = icn::util::pick_lane(detail::rsca_map_scalar,
+                                                  detail::rsca_map_avx2);
   kernel(rca.data(), rca.size(), out.data());
 }
 
 void labeled_sums(std::span<const double> d, std::span<const int> labels,
                   std::size_t k, double* sums) {
   ICN_REQUIRE(d.size() == labels.size(), "labeled_sums extents");
-  static const LabeledSumsFn kernel = pick_labeled_sums();
+  static const auto kernel = icn::util::pick_lane(detail::labeled_sums_scalar,
+                                                  detail::labeled_sums_avx2);
   kernel(d.data(), labels.data(), d.size(), k, sums);
 }
 
 void labeled_extrema(std::span<const double> d, std::span<const int> labels,
                      int own, double* min_inter, double* max_diam) {
   ICN_REQUIRE(d.size() == labels.size(), "labeled_extrema extents");
-  static const LabeledExtremaFn kernel = pick_labeled_extrema();
+  static const auto kernel = icn::util::pick_lane(
+      detail::labeled_extrema_scalar, detail::labeled_extrema_avx2);
   kernel(d.data(), labels.data(), own, d.size(), min_inter, max_diam);
 }
 

@@ -23,10 +23,7 @@
 // labeled_extrema uses `acc = (acc < x) ? x : acc` / `(x < acc) ? x : acc`
 // per lane slot (NaN keeps the accumulator, like the scalar comparison) and
 // combines lanes as (l0 op l2) op (l1 op l3). The scalar and avx2 lanes are
-// byte-identical; the opt-in avx2fma lane fuses T*s_j into the adjacent
-// add/subtract for rsca_row (its parity reference is rsca_row_fma_reference)
-// and falls back to the avx2 kernels everywhere else, since the other
-// kernels contain no multiply-add pairs to fuse.
+// byte-identical.
 #pragma once
 
 #include <cstddef>
@@ -64,12 +61,6 @@ void rsca_row_scalar(const double* t, const double* s, double total,
                      std::size_t n, double* out);
 void rsca_row_avx2(const double* t, const double* s, double total,
                    std::size_t n, double* out);
-/// Scalar reference for the FMA lane: std::fma(-total, s, t) numerator and
-/// std::fma(total, s, t) denominator. Defines the bits rsca_row_fma must hit.
-void rsca_row_fma_reference(const double* t, const double* s, double total,
-                            std::size_t n, double* out);
-void rsca_row_fma(const double* t, const double* s, double total,
-                  std::size_t n, double* out);
 
 void rsca_map_scalar(const double* v, std::size_t n, double* out);
 void rsca_map_avx2(const double* v, std::size_t n, double* out);

@@ -49,7 +49,7 @@ double silhouette_score(const CondensedDistances& dist,
   // Cell (i, c) therefore receives its canonical forward value first, then
   // the j < i contributions in ascending-j order — a fixed order regardless
   // of chunk boundaries — and is written only by the chunk owning i, so the
-  // score is identical at any grain, thread count, or steal schedule.
+  // score is identical at any grain, thread count, or stealing order.
   std::vector<double> s(n, 0.0);
   std::vector<double> sums(n * k, 0.0);
   icn::util::parallel_for(0, n, 16, [&](std::size_t lo, std::size_t hi) {

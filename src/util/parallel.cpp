@@ -79,8 +79,7 @@ struct ThreadPool::Job {
   std::mutex error_mu;
 };
 
-ThreadPool::ThreadPool(std::size_t num_threads, Schedule schedule)
-    : num_threads_(num_threads), schedule_(schedule) {
+ThreadPool::ThreadPool(std::size_t num_threads) : num_threads_(num_threads) {
   ICN_REQUIRE(num_threads >= 1, "ThreadPool needs >= 1 thread");
   workers_.reserve(num_threads - 1);
   for (std::size_t i = 0; i + 1 < num_threads; ++i) {
@@ -124,9 +123,8 @@ std::size_t ThreadPool::parse_thread_count(const char* value) {
   return static_cast<std::size_t>(std::min(parsed, kMaxThreads));
 }
 
-ThreadPool::ScopedOverride::ScopedOverride(std::size_t num_threads,
-                                           Schedule schedule)
-    : pool_(std::make_unique<ThreadPool>(num_threads, schedule)),
+ThreadPool::ScopedOverride::ScopedOverride(std::size_t num_threads)
+    : pool_(std::make_unique<ThreadPool>(num_threads)),
       previous_(g_override) {
   g_override = pool_.get();
 }
@@ -145,12 +143,11 @@ void ThreadPool::record_error(Job& job, std::size_t chunk) {
   job.cancelled.store(true, std::memory_order_relaxed);
 }
 
-void ThreadPool::work_on(Job& job, std::size_t lane, Schedule schedule) {
+void ThreadPool::work_on(Job& job, std::size_t lane) {
   for (;;) {
     if (job.cancelled.load(std::memory_order_relaxed)) return;
     std::uint32_t c = 0;
     if (!claim_bottom(job.lanes[lane], c)) {
-      if (schedule != Schedule::kSteal) return;
       // Own block drained: steal from the top of the first non-empty victim,
       // scanning the lanes round-robin from our right-hand neighbour.
       bool stolen = false;
@@ -181,7 +178,7 @@ void ThreadPool::worker_loop(std::size_t lane) {
       if (job == nullptr) continue;  // job already drained and detached
       ++job->active_workers;
     }
-    work_on(*job, lane, schedule_);
+    work_on(*job, lane);
     {
       std::lock_guard<std::mutex> lk(mu_);
       --job->active_workers;
@@ -235,7 +232,7 @@ void ThreadPool::run_chunks(std::size_t num_chunks,
   // The submitting thread is lane 0; mark it as in-pool so nested parallel
   // calls from the body run inline.
   t_in_pool = true;
-  work_on(job, 0, schedule_);
+  work_on(job, 0);
   t_in_pool = false;
 
   {

@@ -24,9 +24,7 @@
 // rows, non-uniform antenna shards) therefore no longer strand idle lanes:
 // a straggler's unstarted chunks migrate to whoever is free. Stealing moves
 // chunks between threads but never changes what a chunk computes, so the
-// bit-exactness contract is untouched. ThreadPool::Schedule::kStatic disables
-// stealing (each lane runs only its own block) — kept as the measurable
-// baseline for the scheduler benches and as a determinism cross-check.
+// bit-exactness contract is untouched.
 //
 // Sizing: the process-wide pool uses ICN_THREADS when set (>= 1), otherwise
 // std::thread::hardware_concurrency(). A malformed ICN_THREADS value throws
@@ -65,15 +63,10 @@ namespace icn::util {
 /// their own job's chunks.
 class ThreadPool {
  public:
-  /// How chunks move between lanes. kSteal is the default everywhere;
-  /// kStatic pins each lane to its dealt block (bench baseline only).
-  enum class Schedule { kStatic, kSteal };
-
   /// Creates a pool with `num_threads` total lanes of execution (the caller
   /// counts as one, so `num_threads - 1` worker threads are spawned).
   /// Requires num_threads >= 1.
-  explicit ThreadPool(std::size_t num_threads,
-                      Schedule schedule = Schedule::kSteal);
+  explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -81,9 +74,6 @@ class ThreadPool {
 
   /// Total lanes of execution (workers + the submitting thread).
   [[nodiscard]] std::size_t num_threads() const { return num_threads_; }
-
-  /// Chunk scheduling policy of this pool.
-  [[nodiscard]] Schedule schedule() const { return schedule_; }
 
   /// The process-wide pool used by parallel_for/parallel_reduce, created on
   /// first use with configured_threads() lanes.
@@ -112,8 +102,7 @@ class ThreadPool {
   /// single thread only; overrides nest (last installed wins).
   class ScopedOverride {
    public:
-    explicit ScopedOverride(std::size_t num_threads,
-                            Schedule schedule = Schedule::kSteal);
+    explicit ScopedOverride(std::size_t num_threads);
     ~ScopedOverride();
     ScopedOverride(const ScopedOverride&) = delete;
     ScopedOverride& operator=(const ScopedOverride&) = delete;
@@ -124,10 +113,9 @@ class ThreadPool {
   };
 
   /// Runs fn(0) ... fn(num_chunks - 1), dealing the chunk indices into
-  /// per-lane ranges and (under kSteal) rebalancing them by stealing. Blocks
-  /// until every started chunk finished; rethrows the exception of the
-  /// lowest-indexed chunk that threw. Calls from inside a pool task run
-  /// inline.
+  /// per-lane ranges and rebalancing them by stealing. Blocks until every
+  /// started chunk finished; rethrows the exception of the lowest-indexed
+  /// chunk that threw. Calls from inside a pool task run inline.
   void run_chunks(std::size_t num_chunks,
                   const std::function<void(std::size_t)>& fn);
 
@@ -135,11 +123,10 @@ class ThreadPool {
   struct Job;
 
   void worker_loop(std::size_t lane);
-  static void work_on(Job& job, std::size_t lane, Schedule schedule);
+  static void work_on(Job& job, std::size_t lane);
   static void record_error(Job& job, std::size_t chunk);
 
   std::size_t num_threads_ = 1;
-  Schedule schedule_ = Schedule::kSteal;
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable wake_cv_;  // workers wait for a new job

@@ -156,9 +156,9 @@ TEST(SimdLevelTest, ParsesCanonicalNames) {
   EXPECT_EQ(icn::util::parse_simd_level(""), std::nullopt);
   EXPECT_EQ(icn::util::parse_simd_level("  "), std::nullopt);
   EXPECT_EQ(icn::util::parse_simd_level("scalar"), SimdLevel::kScalar);
+  EXPECT_EQ(icn::util::parse_simd_level("SCALAR"), SimdLevel::kScalar);
   EXPECT_EQ(icn::util::parse_simd_level(" avx2 "), SimdLevel::kAvx2);
-  EXPECT_EQ(icn::util::parse_simd_level("avx2fma"), SimdLevel::kAvx2Fma);
-  EXPECT_EQ(icn::util::parse_simd_level("AVX2FMA"), SimdLevel::kAvx2Fma);
+  EXPECT_EQ(icn::util::parse_simd_level("\tAVX2\t"), SimdLevel::kAvx2);
 }
 
 TEST(SimdLevelTest, GarbageIcnSimdThrowsTypedError) {
@@ -166,89 +166,57 @@ TEST(SimdLevelTest, GarbageIcnSimdThrowsTypedError) {
     EXPECT_THROW((void)icn::util::parse_simd_level(bad), EnvConfigError)
         << bad;
   }
-  // SSE2 and AVX512 name lanes that no longer exist (the parser folds case,
-  // so these are ICN_SIMD=sse2 / avx512): they must fail loudly, listing the
-  // accepted values, rather than fall back to another lane.
-  for (const char* bad : {"turbo", "SSE2", "AVX512"}) {
+  // SSE2, AVX512 and avx2fma name lanes that no longer exist (the parser
+  // folds case, so these are ICN_SIMD=sse2 / avx512): they must fail loudly,
+  // listing the accepted values, rather than fall back to another lane.
+  // Blanks are trimmed from the ends only, so a blank inside a name makes it
+  // garbage rather than a silent match.
+  for (const char* bad :
+       {"turbo", "SSE2", "AVX512", "avx2fma", "av x2", "sca lar", "avx\t2"}) {
     try {
       (void)icn::util::parse_simd_level(bad);
       FAIL() << "expected EnvConfigError for " << bad;
     } catch (const EnvConfigError& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("ICN_SIMD"), std::string::npos) << what;
-      EXPECT_NE(what.find("scalar, avx2, or avx2fma"), std::string::npos)
+      EXPECT_NE(what.find("(expected scalar or avx2;"), std::string::npos)
           << what;
     }
   }
 }
 
 TEST(SimdLevelTest, LevelNamesRoundTrip) {
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx2Fma}) {
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     EXPECT_EQ(icn::util::parse_simd_level(icn::util::simd_level_name(level)),
               level);
   }
 }
 
 TEST(SimdLevelTest, DispatchedLevelIsRunnable) {
-  // kAvx2Fma sits outside the scalar < avx2 order, so it has its own
-  // runnability condition; the other two levels obey that order.
-  if (icn::util::simd_level() == SimdLevel::kAvx2Fma) {
-    EXPECT_GE(icn::util::max_supported_simd_level(), SimdLevel::kAvx2);
-    EXPECT_TRUE(icn::util::cpu_supports_fma());
-  } else {
-    EXPECT_LE(icn::util::simd_level(), icn::util::max_supported_simd_level());
-  }
+  EXPECT_LE(icn::util::simd_level(), icn::util::max_supported_simd_level());
 }
 
-TEST(SimdLevelTest, AutoDetectNeverPicksTheFmaLane) {
-  // The FMA lane changes bits, so it must be opt-in: auto-detection (unset
-  // ICN_SIMD) resolves to avx2 or scalar.
-  EXPECT_NE(icn::util::max_supported_simd_level(), SimdLevel::kAvx2Fma);
-  EXPECT_EQ(icn::util::resolve_simd_level(std::nullopt, SimdLevel::kAvx2,
-                                          /*has_fma=*/true),
-            SimdLevel::kAvx2);
-}
-
-TEST(SimdLevelTest, ResolveAcceptsFmaLaneOnCapableHardware) {
-  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kAvx2Fma,
-                                          SimdLevel::kAvx2, /*has_fma=*/true),
-            SimdLevel::kAvx2Fma);
-}
-
-TEST(SimdLevelTest, ResolveRejectsFmaLaneWithoutFmaOrAvx2) {
-  // Missing the FMA cpuid bit: typed error naming the variable and value.
-  try {
-    (void)icn::util::resolve_simd_level(SimdLevel::kAvx2Fma, SimdLevel::kAvx2,
-                                        /*has_fma=*/false);
-    FAIL() << "expected EnvConfigError";
-  } catch (const EnvConfigError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("ICN_SIMD"), std::string::npos) << what;
-    EXPECT_NE(what.find("avx2fma"), std::string::npos) << what;
-  }
-  // AVX2 missing entirely: rejected even with the FMA bit.
-  EXPECT_THROW((void)icn::util::resolve_simd_level(SimdLevel::kAvx2Fma,
-                                                   SimdLevel::kScalar,
-                                                   /*has_fma=*/true),
-               EnvConfigError);
+TEST(SimdLevelTest, PickLaneFollowsTheDispatchedLevel) {
+  const auto lane = icn::util::pick_lane(detail::vector_sum_scalar,
+                                         detail::vector_sum_avx2);
+  EXPECT_EQ(lane, icn::util::simd_level() == SimdLevel::kAvx2
+                      ? &detail::vector_sum_avx2
+                      : &detail::vector_sum_scalar);
 }
 
 TEST(SimdLevelTest, ResolveKeepsTheNonFmaOrderContract) {
   // Unset resolves to the probed level; scalar is always allowed; avx2 on a
   // CPU without it is a typed error naming the variable.
-  EXPECT_EQ(icn::util::resolve_simd_level(std::nullopt, SimdLevel::kScalar,
-                                          /*has_fma=*/false),
+  EXPECT_EQ(icn::util::resolve_simd_level(std::nullopt, SimdLevel::kScalar),
             SimdLevel::kScalar);
-  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kScalar, SimdLevel::kAvx2,
-                                          /*has_fma=*/true),
+  EXPECT_EQ(icn::util::resolve_simd_level(std::nullopt, SimdLevel::kAvx2),
+            SimdLevel::kAvx2);
+  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kScalar, SimdLevel::kAvx2),
             SimdLevel::kScalar);
-  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kAvx2, SimdLevel::kAvx2,
-                                          /*has_fma=*/false),
+  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kAvx2, SimdLevel::kAvx2),
             SimdLevel::kAvx2);
   try {
-    (void)icn::util::resolve_simd_level(SimdLevel::kAvx2, SimdLevel::kScalar,
-                                        /*has_fma=*/true);
+    (void)icn::util::resolve_simd_level(SimdLevel::kAvx2, SimdLevel::kScalar);
     FAIL() << "expected EnvConfigError";
   } catch (const EnvConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("ICN_SIMD=avx2"), std::string::npos)

@@ -16,12 +16,10 @@ what is compared is "how many units of the reference op does this op cost",
 not raw nanoseconds. Pick a single-threaded, CPU-bound reference
 (Crc32cTable works well) so the unit itself is stable.
 
-Runs present in only one file are reported but tolerated: SIMD-lane benches
-skip (and drop out of the JSON) on hardware without AVX2 or FMA, and
-baselines recorded before the sse2/avx512 lanes were removed still carry
-their /1 and /3 runs. A pinned op
-losing *all* of its runs is fatal, so an op cannot silently vanish from the
-suite.
+Runs present in only one file are reported but tolerated: the avx2 rows of
+the SIMD-lane benches skip (and drop out of the JSON) on hardware without
+AVX2. A pinned op losing *all* of its runs is fatal, so an op cannot
+silently vanish from the suite.
 """
 import argparse
 import json
