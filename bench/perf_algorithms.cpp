@@ -1,6 +1,7 @@
 // Performance microbenches (google-benchmark) for the core algorithms:
 // Ward NN-chain scaling, silhouette, RCA/RSCA transform throughput,
 // random-forest training, TreeSHAP vs KernelSHAP per explanation, the
+// paper-shape clustered forest fit and TreeSHAP batch, the
 // probe-path aggregation throughput, the per-level SIMD kernels (distance,
 // x4 row-batched distance, RSCA row, labeled sums), the tiled
 // condensed-distance sweep, scratch-arena vs heap allocation, CRC32C
@@ -9,6 +10,7 @@
 // BENCH_perf_algorithms.json via bench/report.h.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -206,6 +208,72 @@ BENCHMARK_DEFINE_F(ShapFixture, BM_TreeShapBatchThreads)
 BENCHMARK_REGISTER_F(ShapFixture, BM_TreeShapBatchThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+/// Paper-shape clustered surrogate input: 4762 rows x 73 features drawn
+/// around 9 cluster centres (RSCA-like values in [-1, 1]), labelled by
+/// cluster. Unlike random labels, the rows of one cluster take the same
+/// turns through most trees, which is what TreeSHAP's leaf memo feeds on.
+struct ClusteredData {
+  static constexpr std::size_t kRows = 4762;
+  static constexpr int kClusters = 9;
+  ml::Matrix x{kRows, 73};
+  std::vector<int> y = std::vector<int>(kRows);
+
+  ClusteredData() {
+    icn::util::Rng rng(2023);
+    ml::Matrix centers(kClusters, x.cols());
+    for (auto& v : centers.data()) v = rng.uniform(-0.6, 0.6);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const auto c = static_cast<std::size_t>(i % kClusters);
+      y[i] = static_cast<int>(c);
+      for (std::size_t f = 0; f < x.cols(); ++f) {
+        x(i, f) = std::clamp(centers(c, f) + rng.normal(0.0, 0.18), -1.0, 1.0);
+      }
+    }
+  }
+};
+
+/// The surrogate's forest parameters (core::SurrogateParams).
+ml::RandomForest::Params surrogate_params() {
+  ml::RandomForest::Params params;
+  params.num_trees = 100;
+  params.max_depth = 24;
+  params.seed = 20231024;
+  return params;
+}
+
+// arg: rows (the paper's 4762; full preset only).
+void BM_ForestFitClustered(benchmark::State& state) {
+  static const ClusteredData data;
+  for (auto _ : state) {
+    ml::RandomForest forest;
+    forest.fit(data.x, data.y, ClusteredData::kClusters, surrogate_params());
+    benchmark::DoNotOptimize(forest);
+  }
+}
+BENCHMARK(BM_ForestFitClustered)->Arg(4762)->Unit(benchmark::kMillisecond);
+
+// arg: training rows (4762; full preset only). Explains 120 rows of each
+// cluster, grouped by cluster like SurrogateExplainer::explain's sample.
+void BM_ForestShapClustered(benchmark::State& state) {
+  static const ClusteredData data;
+  static const ml::RandomForest forest = [] {
+    ml::RandomForest f;
+    f.fit(data.x, data.y, ClusteredData::kClusters, surrogate_params());
+    return f;
+  }();
+  std::vector<std::size_t> rows;
+  for (std::size_t c = 0; c < ClusteredData::kClusters; ++c) {
+    for (std::size_t j = 0; j < 120; ++j) rows.push_back(c + j * 9);
+  }
+  const ml::Matrix batch = data.x.select_rows(rows);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ml::forest_shap_batch(forest, batch));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows.size()));
+}
+BENCHMARK(BM_ForestShapClustered)->Arg(4762)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_F(ShapFixture, BM_KernelShapPerSample)(benchmark::State& state) {
   // Model-agnostic path, budgeted at 512 coalitions with a 16-row

@@ -14,6 +14,8 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y,
                        int num_classes, const Params& params) {
   ICN_REQUIRE(x.rows() == y.size() && x.rows() > 0, "forest fit input shape");
   ICN_REQUIRE(params.num_trees > 0, "forest needs >= 1 tree");
+  ICN_REQUIRE(params.max_depth <= DecisionTree::kMaxDepth,
+              "forest max_depth");
   trees_.clear();
   trees_.resize(params.num_trees);
   num_classes_ = num_classes;
@@ -22,7 +24,6 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y,
   DecisionTree::Params tree_params;
   tree_params.max_depth = params.max_depth;
   tree_params.min_samples_leaf = params.min_samples_leaf;
-  tree_params.scratch = params.scratch;
   tree_params.max_features =
       params.max_features != 0
           ? params.max_features
@@ -31,6 +32,8 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y,
                        std::sqrt(static_cast<double>(x.cols()))));
 
   const std::size_t n = x.rows();
+  // Every tree sorts the same columns: rank them once for the whole forest.
+  const FeatureRanks ranks(x);
 
   // Each tree's randomness comes from its own seed stream derived up front
   // (never from a shared generator), so trees can be fitted in any order —
@@ -56,7 +59,7 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y,
             sample.resize(n);
             std::iota(sample.begin(), sample.end(), std::size_t{0});
           }
-          trees_[t].fit(x, y, num_classes, tree_params, rng, sample);
+          trees_[t].fit(x, ranks, y, num_classes, tree_params, rng, sample);
         }
       });
 
@@ -64,17 +67,16 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y,
     // OOB votes accumulate per row over the trees in index order (the same
     // addition order as a serial tree-major loop for any fixed row), so the
     // estimate does not depend on the thread count.
-    std::vector<std::vector<double>> oob_votes(
-        n, std::vector<double>(static_cast<std::size_t>(num_classes), 0.0));
+    const auto k = static_cast<std::size_t>(num_classes);
+    std::vector<double> oob_votes(n * k, 0.0);
     std::vector<bool> oob_touched(n, false);
     icn::util::parallel_for(0, n, 64, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
+        double* votes = oob_votes.data() + i * k;
         for (std::size_t t = 0; t < params.num_trees; ++t) {
           if (in_bag[t][i]) continue;
-          const auto proba = trees_[t].predict_proba(x.row(i));
-          for (std::size_t c = 0; c < proba.size(); ++c) {
-            oob_votes[i][c] += proba[c];
-          }
+          const auto proba = trees_[t].value(trees_[t].leaf_index(x.row(i)));
+          for (std::size_t c = 0; c < k; ++c) votes[c] += proba[c];
           oob_touched[i] = true;
         }
       }
@@ -83,9 +85,10 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y,
     for (std::size_t i = 0; i < n; ++i) {
       if (!oob_touched[i]) continue;
       ++covered;
-      const auto& votes = oob_votes[i];
+      const auto votes = oob_votes.begin() + static_cast<std::ptrdiff_t>(i * k);
       const int pred = static_cast<int>(
-          std::max_element(votes.begin(), votes.end()) - votes.begin());
+          std::max_element(votes, votes + static_cast<std::ptrdiff_t>(k)) -
+          votes);
       if (pred == y[i]) ++hits;
     }
     oob_accuracy_ = covered == 0
@@ -97,16 +100,23 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y,
   }
 }
 
-std::vector<double> RandomForest::predict_proba(
-    std::span<const double> x) const {
+void RandomForest::mean_proba(std::span<const double> x,
+                              std::span<double> proba) const {
   ICN_REQUIRE(is_fitted(), "predict on unfitted forest");
-  std::vector<double> proba(static_cast<std::size_t>(num_classes_), 0.0);
+  ICN_REQUIRE(x.size() == num_features_, "predict feature count");
+  std::fill(proba.begin(), proba.end(), 0.0);
   for (const auto& tree : trees_) {
-    const auto p = tree.predict_proba(x);
+    const auto p = tree.value(tree.leaf_index(x));
     for (std::size_t c = 0; c < p.size(); ++c) proba[c] += p[c];
   }
   const double inv = 1.0 / static_cast<double>(trees_.size());
   for (auto& p : proba) p *= inv;
+}
+
+std::vector<double> RandomForest::predict_proba(
+    std::span<const double> x) const {
+  std::vector<double> proba(static_cast<std::size_t>(num_classes_));
+  mean_proba(x, proba);
   return proba;
 }
 
@@ -118,12 +128,15 @@ int RandomForest::predict(std::span<const double> x) const {
 
 std::vector<int> RandomForest::predict_all(const Matrix& x) const {
   std::vector<int> out(x.rows());
-  icn::util::parallel_for(0, x.rows(), 32,
-                          [&](std::size_t lo, std::size_t hi) {
-                            for (std::size_t i = lo; i < hi; ++i) {
-                              out[i] = predict(x.row(i));
-                            }
-                          });
+  icn::util::parallel_for(
+      0, x.rows(), 32, [&](std::size_t lo, std::size_t hi) {
+        std::vector<double> proba(static_cast<std::size_t>(num_classes_));
+        for (std::size_t i = lo; i < hi; ++i) {
+          mean_proba(x.row(i), proba);
+          out[i] = static_cast<int>(
+              std::max_element(proba.begin(), proba.end()) - proba.begin());
+        }
+      });
   return out;
 }
 

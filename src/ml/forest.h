@@ -26,22 +26,23 @@ class RandomForest {
     std::size_t max_features = 0;
     bool bootstrap = true;              ///< Sample rows with replacement.
     std::uint64_t seed = 42;            ///< Seed for all trees' randomness.
-    /// Per-node scratch source for every member tree (see DecisionTree).
-    DecisionTree::Scratch scratch = DecisionTree::Scratch::kArena;
   };
 
   /// Fits the ensemble. Labels must lie in [0, num_classes).
-  /// Requires x.rows() == y.size(), non-empty data, num_classes >= 1.
+  /// Requires x.rows() == y.size(), non-empty data, num_classes >= 1 and
+  /// max_depth <= DecisionTree::kMaxDepth.
   void fit(const Matrix& x, std::span<const int> y, int num_classes,
            const Params& params);
 
   [[nodiscard]] bool is_fitted() const { return !trees_.empty(); }
   [[nodiscard]] int num_classes() const { return num_classes_; }
+  [[nodiscard]] std::size_t num_features() const { return num_features_; }
   [[nodiscard]] const std::vector<DecisionTree>& trees() const {
     return trees_;
   }
 
-  /// Mean of the member trees' leaf class distributions.
+  /// Mean of the member trees' leaf class distributions. Requires
+  /// x.size() == num_features().
   [[nodiscard]] std::vector<double> predict_proba(
       std::span<const double> x) const;
 
@@ -64,6 +65,10 @@ class RandomForest {
   int num_classes_ = 0;
   std::size_t num_features_ = 0;
   double oob_accuracy_ = 0.0;
+
+  /// Writes the mean leaf distribution at x into proba (num_classes_ long):
+  /// the trees' leaf values summed in index order, then scaled by 1/trees.
+  void mean_proba(std::span<const double> x, std::span<double> proba) const;
 };
 
 }  // namespace icn::ml

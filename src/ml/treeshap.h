@@ -3,8 +3,10 @@
 // explainable AI for trees", Nat. Mach. Intell. 2020, Algorithm 2).
 //
 // The paper (Sec. 5.1) explains its random-forest surrogate with TreeSHAP;
-// this is a from-scratch implementation on the flat TreeNode representation,
-// handling multi-class leaf values in one pass.
+// this is a from-scratch implementation on DecisionTree's struct-of-arrays
+// nodes, handling multi-class leaf values in one pass. Batches memoise each
+// leaf's contributions per (leaf, hot/cold path) and stay bit-identical to
+// the row-by-row computation (DESIGN.md §6.5).
 //
 // Semantics: the value function is the tree's *conditional expectation*
 // f_S(x) = E[f(x) | x_S], where the expectation over missing features follows
@@ -25,6 +27,8 @@ namespace icn::ml {
 /// SHAP values of a single tree at point x: an (M x K) matrix where
 /// phi(f, c) is feature f's contribution to the class-c output.
 /// Local accuracy holds: column sums equal predict_proba(x) - base values.
+/// Every function here that takes a point requires it to have exactly the
+/// model's num_features() entries (x.cols() for the batch).
 [[nodiscard]] Matrix tree_shap(const DecisionTree& tree,
                                std::span<const double> x);
 

@@ -1,11 +1,10 @@
 // Monotonic per-task scratch arena.
 //
-// The analysis batch paths (SHAP tree recursion, seasonal-fit buckets,
-// silhouette scratch, kernel-SHAP coalition rows) used to heap-allocate small
-// short-lived vectors once per item — millions of malloc/free pairs per study
-// that dominate the profile once the arithmetic itself is vectorized. An
-// Arena replaces those with pointer bumps: allocation is `used += bytes`,
-// deallocation is rewinding a mark.
+// The analysis batch paths (seasonal-fit buckets, kernel-SHAP coalition
+// rows) used to heap-allocate small short-lived vectors once per item —
+// millions of malloc/free pairs per study that dominate the profile once the
+// arithmetic itself is vectorized. An Arena replaces those with pointer
+// bumps: allocation is `used += bytes`, deallocation is rewinding a mark.
 //
 // Lifetime rules (see DESIGN.md §6.4):
 //   - Allocation never constructs or destroys objects. Only trivially

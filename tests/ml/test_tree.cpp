@@ -37,8 +37,8 @@ TEST(DecisionTreeTest, FitsPureLeafOnConstantLabels) {
   Matrix x(4, 1, {1.0, 2.0, 3.0, 4.0});
   const std::vector<int> y = {1, 1, 1, 1};
   const auto tree = fit_tree(x, y, 2);
-  EXPECT_EQ(tree.nodes().size(), 1u);
-  EXPECT_TRUE(tree.nodes()[0].is_leaf());
+  EXPECT_EQ(tree.num_nodes(), 1u);
+  EXPECT_TRUE(tree.node(0).is_leaf());
   EXPECT_EQ(tree.predict(std::vector<double>{0.0}), 1);
 }
 
@@ -73,7 +73,8 @@ TEST(DecisionTreeTest, DepthLimitRespected) {
   params.max_depth = 1;
   const auto tree = fit_tree(x, y, 4, params);
   // Depth 1 = a root with two leaves.
-  EXPECT_LE(tree.nodes().size(), 3u);
+  EXPECT_LE(tree.num_nodes(), 3u);
+  EXPECT_LE(tree.depth(), 1u);
 }
 
 TEST(DecisionTreeTest, MinSamplesLeafRespected) {
@@ -82,7 +83,8 @@ TEST(DecisionTreeTest, MinSamplesLeafRespected) {
   DecisionTree::Params params;
   params.min_samples_leaf = 10;
   const auto tree = fit_tree(x, y, 4, params);
-  for (const auto& node : tree.nodes()) {
+  for (std::size_t i = 0; i < tree.num_nodes(); ++i) {
+    const TreeNode node = tree.node(i);
     if (node.is_leaf()) {
       EXPECT_GE(node.cover, 10.0);
     }
@@ -93,12 +95,13 @@ TEST(DecisionTreeTest, CoverAccountsForAllSamples) {
   std::vector<int> y;
   const Matrix x = quadrant_data(80, 15, &y);
   const auto tree = fit_tree(x, y, 4);
-  EXPECT_DOUBLE_EQ(tree.nodes()[0].cover, 80.0);
-  for (const auto& node : tree.nodes()) {
+  EXPECT_DOUBLE_EQ(tree.node(0).cover, 80.0);
+  for (std::size_t i = 0; i < tree.num_nodes(); ++i) {
+    const TreeNode node = tree.node(i);
     if (!node.is_leaf()) {
       const double child_sum =
-          tree.nodes()[static_cast<std::size_t>(node.left)].cover +
-          tree.nodes()[static_cast<std::size_t>(node.right)].cover;
+          tree.node(static_cast<std::size_t>(node.left)).cover +
+          tree.node(static_cast<std::size_t>(node.right)).cover;
       EXPECT_DOUBLE_EQ(node.cover, child_sum);
     }
   }
@@ -108,10 +111,11 @@ TEST(DecisionTreeTest, NodeValuesAreCoverWeightedChildMeans) {
   std::vector<int> y;
   const Matrix x = quadrant_data(120, 17, &y);
   const auto tree = fit_tree(x, y, 4);
-  for (const auto& node : tree.nodes()) {
+  for (std::size_t i = 0; i < tree.num_nodes(); ++i) {
+    const TreeNode node = tree.node(i);
     if (node.is_leaf()) continue;
-    const auto& l = tree.nodes()[static_cast<std::size_t>(node.left)];
-    const auto& r = tree.nodes()[static_cast<std::size_t>(node.right)];
+    const TreeNode l = tree.node(static_cast<std::size_t>(node.left));
+    const TreeNode r = tree.node(static_cast<std::size_t>(node.right));
     for (std::size_t c = 0; c < node.value.size(); ++c) {
       const double expected =
           (l.cover * l.value[c] + r.cover * r.value[c]) / node.cover;
@@ -156,6 +160,15 @@ TEST(DecisionTreeTest, InputValidation) {
                icn::util::PreconditionError);
   EXPECT_THROW(tree.predict(std::vector<double>{1.0}),
                icn::util::PreconditionError);  // unfitted
+  // TreeSHAP keys leaf visits by a 64-bit hot/cold mask: deeper trees are
+  // refused up front.
+  DecisionTree::Params deep;
+  deep.max_depth = DecisionTree::kMaxDepth + 1;
+  EXPECT_THROW(tree.fit(x, std::vector<int>{0, 1}, 2, deep, rng),
+               icn::util::PreconditionError);
+  deep.max_depth = DecisionTree::kMaxDepth;
+  tree.fit(x, std::vector<int>{0, 1}, 2, deep, rng);
+  EXPECT_EQ(tree.num_features(), 1u);
 }
 
 TEST(DecisionTreeTest, PredictValidatesFeatureCount) {
@@ -175,35 +188,6 @@ TEST(DecisionTreeTest, FeatureSubsamplingStillLearns) {
   std::vector<int> pred(x.rows());
   for (std::size_t i = 0; i < x.rows(); ++i) pred[i] = tree.predict(x.row(i));
   EXPECT_GT(accuracy(pred, y), 0.95);
-}
-
-TEST(DecisionTreeTest, ArenaAndHeapScratchAreBitIdentical) {
-  // The arena path must not change a single output bit relative to the
-  // original heap-vector path: same splits, same thresholds, same rng draws.
-  std::vector<int> y;
-  const Matrix x = quadrant_data(300, 7, &y);
-  for (const std::size_t max_features : {std::size_t{0}, std::size_t{1}}) {
-    DecisionTree::Params params;
-    params.max_features = max_features;
-    params.scratch = DecisionTree::Scratch::kArena;
-    const auto arena_tree = fit_tree(x, y, 4, params, 99);
-    params.scratch = DecisionTree::Scratch::kHeap;
-    const auto heap_tree = fit_tree(x, y, 4, params, 99);
-
-    ASSERT_EQ(arena_tree.nodes().size(), heap_tree.nodes().size());
-    for (std::size_t i = 0; i < arena_tree.nodes().size(); ++i) {
-      const TreeNode& a = arena_tree.nodes()[i];
-      const TreeNode& h = heap_tree.nodes()[i];
-      EXPECT_EQ(a.feature, h.feature) << "node " << i;
-      EXPECT_EQ(a.threshold, h.threshold) << "node " << i;
-      EXPECT_EQ(a.left, h.left) << "node " << i;
-      EXPECT_EQ(a.right, h.right) << "node " << i;
-      EXPECT_EQ(a.cover, h.cover) << "node " << i;
-      EXPECT_EQ(a.value, h.value) << "node " << i;
-    }
-    EXPECT_EQ(arena_tree.impurity_importance(),
-              heap_tree.impurity_importance());
-  }
 }
 
 }  // namespace

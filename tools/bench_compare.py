@@ -34,6 +34,7 @@ DEFAULT_PINNED = [
     "RscaRowSimd",
     "SquaredEuclideanSimd",
     "TreeShapPerSample",
+    "ForestTraining",
 ]
 
 
