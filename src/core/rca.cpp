@@ -1,5 +1,6 @@
 #include "core/rca.h"
 
+#include <cmath>
 #include <vector>
 
 #include "ml/distance.h"
@@ -9,33 +10,39 @@
 namespace icn::core {
 namespace {
 
+/// One +inf or NaN entry would otherwise turn a whole row or column of the
+/// transform into NaN or 0.0 without an error.
+void require_traffic_entry(double v) {
+  ICN_REQUIRE(std::isfinite(v) && v >= 0.0,
+              "traffic entries must be finite and non-negative");
+}
+
 /// Row sums via the dispatched canonical-order kernel, requiring every entry
-/// non-negative and each total positive. The canonical order makes the
-/// totals — and therefore every downstream RSCA value — identical under
-/// ICN_SIMD=scalar and avx2.
+/// finite and non-negative and each total positive. The canonical order
+/// makes the totals — and therefore every downstream RSCA value — identical
+/// under ICN_SIMD=scalar and avx2.
 std::vector<double> positive_row_totals(const ml::Matrix& traffic,
                                         const char* what) {
   std::vector<double> totals(traffic.rows(), 0.0);
   for (std::size_t i = 0; i < traffic.rows(); ++i) {
     const auto row = traffic.row(i);
-    for (const double v : row) {
-      ICN_REQUIRE(v >= 0.0, "negative traffic entry");
-    }
+    for (const double v : row) require_traffic_entry(v);
     totals[i] = ml::vector_sum(row);
     ICN_REQUIRE(totals[i] > 0.0, what);
   }
   return totals;
 }
 
-/// Per-service share of total traffic (the RCA denominator). Column sums
-/// accumulate row-by-row element-wise (a fixed order independent of the
-/// SIMD level); the grand total then sums the per-service sums in the
-/// canonical order.
+/// Per-service share of total traffic (the RCA denominator), requiring every
+/// entry finite and non-negative. Column sums accumulate row-by-row
+/// element-wise (a fixed order independent of the SIMD level); the grand
+/// total then sums the per-service sums in the canonical order.
 std::vector<double> service_shares(const ml::Matrix& traffic) {
   std::vector<double> shares(traffic.cols(), 0.0);
   for (std::size_t i = 0; i < traffic.rows(); ++i) {
     const auto row = traffic.row(i);
     for (std::size_t j = 0; j < traffic.cols(); ++j) {
+      require_traffic_entry(row[j]);
       shares[j] += row[j];
     }
   }
@@ -65,8 +72,8 @@ ml::Matrix rca_against_baseline(const ml::Matrix& traffic,
 
 /// Fused traffic -> RSCA against an explicit baseline: RCA = (t/T)/s and
 /// RSCA = (RCA-1)/(RCA+1) collapse to (t - T*s)/(t + T*s), one divide per
-/// element through the dispatched ml::rsca_row kernel. Services with
-/// s <= 0 land on 0.0, matching RCA = 1 through the unfused path.
+/// element through the ml::rsca_row kernel. Services with s <= 0 land on
+/// 0.0, matching RCA = 1 through the unfused path.
 ml::Matrix rsca_against_baseline(const ml::Matrix& traffic,
                                  const std::vector<double>& baseline_share) {
   const auto row_totals =
@@ -87,7 +94,8 @@ ml::Matrix compute_rca(const ml::Matrix& traffic) {
 
 ml::Matrix rca_to_rsca(const ml::Matrix& rca) {
   for (const double v : rca.data()) {
-    ICN_REQUIRE(v >= 0.0, "negative RCA");
+    ICN_REQUIRE(std::isfinite(v) && v >= 0.0,
+                "RCA entries must be finite and non-negative");
   }
   ml::Matrix rsca(rca.rows(), rca.cols());
   ml::rsca_map(rca.data(), rsca.data());

@@ -14,12 +14,13 @@ namespace icn::core {
 
 /// Eq. 1: RCA(i,j) = (T(i,j)/T(i)) / (T(j)/T_tot).
 ///
-/// Requires a non-empty matrix with non-negative entries and every row sum
-/// positive (every antenna carried some traffic). Services with zero global
-/// traffic get neutral RCA = 1 for every antenna (no information).
+/// Requires a non-empty matrix with finite, non-negative entries and every
+/// row sum positive (every antenna carried some traffic). Services with zero
+/// global traffic get neutral RCA = 1 for every antenna (no information).
 [[nodiscard]] ml::Matrix compute_rca(const ml::Matrix& traffic);
 
 /// Eq. 2: RSCA = (RCA - 1) / (RCA + 1), element-wise; output in [-1, 1].
+/// Requires every RCA finite and non-negative.
 [[nodiscard]] ml::Matrix rca_to_rsca(const ml::Matrix& rca);
 
 /// compute_rca followed by rca_to_rsca.
@@ -27,7 +28,8 @@ namespace icn::core {
 
 /// Eq. 5: RCA of outdoor antennas against the indoor utilization baseline:
 /// RCA_out(i,j) = (T_out(i,j)/T_out(i)) / (T_in(j)/T_tot_in).
-/// Requires matching service dimensions and positive row sums on both sides.
+/// Requires matching service dimensions, finite non-negative entries and
+/// positive row sums on both sides.
 [[nodiscard]] ml::Matrix compute_outdoor_rca(const ml::Matrix& outdoor_traffic,
                                              const ml::Matrix& indoor_traffic);
 
