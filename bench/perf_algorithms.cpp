@@ -1,13 +1,11 @@
 // Performance microbenches (google-benchmark) for the core algorithms:
-// Ward NN-chain scaling, silhouette, RCA/RSCA transform throughput,
-// random-forest training, TreeSHAP vs KernelSHAP per explanation, the
-// paper-shape clustered forest fit and TreeSHAP batch, the
-// probe-path aggregation throughput, the per-level SIMD kernels (distance,
-// x4 row-batched distance, RSCA row, labeled sums), the tiled
-// condensed-distance sweep, scratch-arena vs heap allocation, CRC32C
-// backends, the Hungarian assignment, seasonal batch fitting, and the
-// work-stealing scheduler on a skewed workload. Emits
-// BENCH_perf_algorithms.json via bench/report.h.
+// Ward NN-chain scaling, silhouette, the RCA/RSCA transform, random-forest
+// training, TreeSHAP per explanation, the paper-shape clustered forest fit
+// and TreeSHAP batch, the probe-path aggregation throughput, the per-level
+// SIMD kernels (distance, x4 row-batched distance, labeled sums), the tiled
+// condensed-distance sweep, CRC32C backends, the Hungarian assignment,
+// seasonal batch fitting, and the work-stealing scheduler on a skewed
+// workload. Emits BENCH_perf_algorithms.json via bench/report.h.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,7 +21,6 @@
 #include "ml/forest.h"
 #include "ml/hungarian.h"
 #include "ml/kernels.h"
-#include "ml/kernelshap.h"
 #include "ml/linkage.h"
 #include "ml/metrics.h"
 #include "ml/treeshap.h"
@@ -34,7 +31,6 @@
 #include "report.h"
 #include "store/crc32c.h"
 #include "traffic/flows.h"
-#include "util/arena.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -92,11 +88,15 @@ BENCHMARK(BM_WardNnChainThreads)
     ->ArgsProduct({{2000}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
+// BM_SilhouetteScore and BM_ForestTraining run on a one-lane pool, so host
+// steal cannot stretch these gated ops through a descheduled worker; their
+// *Threads variants measure lane scaling.
 void BM_SilhouetteScore(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const ml::Matrix x = random_features(n, 73);
   const auto labels = random_labels(n, 9);
   const ml::CondensedDistances dist(x);
+  icn::util::ThreadPool::ScopedOverride pool(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ml::silhouette_score(dist, labels));
   }
@@ -130,13 +130,14 @@ void BM_RscaTransform(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n) * 73);
 }
-BENCHMARK(BM_RscaTransform)->Arg(1000)->Arg(4762)
+BENCHMARK(BM_RscaTransform)->Arg(500)->Arg(1000)->Arg(4762)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ForestTraining(benchmark::State& state) {
   const auto trees = static_cast<std::size_t>(state.range(0));
   const ml::Matrix x = random_features(1000, 73);
   const auto y = random_labels(1000, 9);
+  icn::util::ThreadPool::ScopedOverride pool(1);
   for (auto _ : state) {
     ml::RandomForest forest;
     ml::RandomForest::Params params;
@@ -275,25 +276,6 @@ void BM_ForestShapClustered(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestShapClustered)->Arg(4762)->Unit(benchmark::kMillisecond);
 
-BENCHMARK_F(ShapFixture, BM_KernelShapPerSample)(benchmark::State& state) {
-  // Model-agnostic path, budgeted at 512 coalitions with a 16-row
-  // background; vastly slower than TreeSHAP — that gap is the point.
-  std::vector<std::size_t> bg_rows(16);
-  for (std::size_t i = 0; i < 16; ++i) bg_rows[i] = i * 7;
-  const ml::Matrix background = x.select_rows(bg_rows);
-  const ml::ModelFunction model = [&](std::span<const double> row) {
-    return forest.predict_proba(row);
-  };
-  ml::KernelShapParams params;
-  params.max_coalitions = 512;
-  std::size_t row = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ml::kernel_shap(model, x.row(row), background, params));
-    row = (row + 1) % x.rows();
-  }
-}
-
 void BM_ProbeAggregation(benchmark::State& state) {
   // Measurement-path throughput: flows -> ULI decode -> DPI -> aggregate.
   core::ScenarioParams params;
@@ -408,42 +390,6 @@ void BM_SquaredEuclideanX4Simd(benchmark::State& state) {
 BENCHMARK(BM_SquaredEuclideanX4Simd)->Apply(simd_levels)
     ->Unit(benchmark::kNanosecond);
 
-// Fused RSCA row transform per lane.
-// args: {level}
-void BM_RscaRowSimd(benchmark::State& state) {
-  const auto level = static_cast<icn::util::SimdLevel>(state.range(0));
-  if (!level_runnable(level)) {
-    state.SkipWithError("SIMD level not supported on this CPU");
-    return;
-  }
-  constexpr std::size_t kDim = 4096;
-  icn::util::Rng rng(7);
-  std::vector<double> t(kDim), s(kDim), out(kDim);
-  double total = 0.0;
-  for (std::size_t i = 0; i < kDim; ++i) {
-    t[i] = std::abs(rng.normal()) + 0.01;
-    s[i] = std::abs(rng.normal()) + 0.01;
-    total += t[i];
-  }
-  for (auto _ : state) {
-    switch (level) {
-      case icn::util::SimdLevel::kScalar:
-        ml::detail::rsca_row_scalar(t.data(), s.data(), total, kDim,
-                                    out.data());
-        break;
-      case icn::util::SimdLevel::kAvx2:
-        ml::detail::rsca_row_avx2(t.data(), s.data(), total, kDim,
-                                  out.data());
-        break;
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kDim));
-  state.SetLabel(icn::util::simd_level_name(level));
-}
-BENCHMARK(BM_RscaRowSimd)->Apply(simd_levels)->Unit(benchmark::kNanosecond);
-
 // Silhouette inner loop: per-cluster masked sums of a distance segment.
 // args: {level}
 void BM_LabeledSumsSimd(benchmark::State& state) {
@@ -499,37 +445,6 @@ void BM_CondensedDistances(benchmark::State& state) {
 BENCHMARK(BM_CondensedDistances)
     ->ArgsProduct({{512, 2000}, {16, 64, 256}})
     ->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Scratch arena vs heap for short-lived hot-path buffers. The heap variant
-// pays malloc/free plus the vector's zero-fill every round trip; the arena
-// rewinds a bump pointer over memory it already owns.
-
-// args: {doubles}
-void BM_ScratchAllocHeap(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::vector<double> buf(n);
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetLabel("heap");
-}
-BENCHMARK(BM_ScratchAllocHeap)->Arg(64)->Arg(1024)
-    ->Unit(benchmark::kNanosecond);
-
-// args: {doubles}
-void BM_ScratchAllocArena(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto& arena = icn::util::scratch_arena();
-  for (auto _ : state) {
-    const icn::util::Arena::Frame frame(arena);
-    const auto buf = arena.alloc_span<double>(n);
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetLabel("arena");
-}
-BENCHMARK(BM_ScratchAllocArena)->Arg(64)->Arg(1024)
-    ->Unit(benchmark::kNanosecond);
 
 // ---------------------------------------------------------------------------
 // CRC32C backends: slicing-by-8 table vs the SSE4.2 crc32 instruction over a
@@ -638,9 +553,8 @@ BENCHMARK(BM_SeasonalBatchFitThreads)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Smoke preset: drop the big problem sizes and the slow model-agnostic
-  // SHAP path; keep one point per op family so the JSON schema and every
-  // code path still get exercised in CI.
-  return icn::bench::trajectory_main(
-      "perf_algorithms", "-(/(1000|2000|4762)($|/)|KernelShap)", argc, argv);
+  // Smoke preset: drop the big problem sizes; keep one point per op family
+  // so the JSON schema and every code path still get exercised in CI.
+  return icn::bench::trajectory_main("perf_algorithms",
+                                     "-/(1000|2000|4762)($|/)", argc, argv);
 }

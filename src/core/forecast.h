@@ -58,45 +58,6 @@ class SeasonalForecaster {
     std::span<const std::span<const double>> series,
     std::size_t season_hours = 168);
 
-/// Parallel batch of `SeasonalForecaster::fit_masked`: series[i] is fitted
-/// against coverage bitmap covered[i]. Requires equal outer sizes.
-[[nodiscard]] std::vector<SeasonalForecaster> fit_seasonal_batch_masked(
-    std::span<const std::span<const double>> series,
-    std::span<const std::span<const std::uint8_t>> covered,
-    std::size_t season_hours = 168);
-
-/// Additive Holt-Winters (triple exponential smoothing) with a weekly
-/// season — the classic step up from the seasonal median when the traffic
-/// carries a trend (e.g. a slowly filling office building).
-class HoltWintersForecaster {
- public:
-  /// Smoothing parameters, each in (0, 1).
-  struct Params {
-    double alpha = 0.2;   ///< Level smoothing.
-    double beta = 0.05;   ///< Trend smoothing.
-    double gamma = 0.10;  ///< Seasonal smoothing.
-  };
-
-  /// Fits on an hourly series starting at slot 0 with default smoothing.
-  /// Requires at least two full seasons.
-  void fit(std::span<const double> series, std::size_t season_hours = 168);
-
-  /// Same with explicit smoothing parameters.
-  void fit(std::span<const double> series, std::size_t season_hours,
-           const Params& params);
-
-  [[nodiscard]] bool is_fitted() const { return !seasonal_.empty(); }
-
-  /// Predicts the `horizon` hours following the training series.
-  [[nodiscard]] std::vector<double> forecast(std::size_t horizon) const;
-
- private:
-  double level_ = 0.0;
-  double trend_ = 0.0;
-  std::vector<double> seasonal_;
-  std::size_t train_hours_ = 0;
-};
-
 /// Symmetric mean absolute percentage error (sMAPE, in [0, 2]): robust to
 /// near-zero hours, which dominate night traffic. Requires equal non-empty
 /// sizes.

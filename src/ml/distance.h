@@ -36,7 +36,7 @@ namespace icn::ml {
                                std::span<const double> b);
 
 /// Sum of a vector in the canonical accumulation order — the dispatched
-/// building block of the forecast/linkage accumulation loops.
+/// row and grand totals of the RCA transform (core/rca.cpp).
 [[nodiscard]] double vector_sum(std::span<const double> xs);
 
 namespace detail {

@@ -1,7 +1,7 @@
 // Exact Shapley values by subset enumeration (Eq. 4 of the paper).
 //
 // Exponential in the number of features, so only usable for small M — this
-// is the ground truth the tests compare TreeSHAP and KernelSHAP against.
+// is the ground truth the tests compare TreeSHAP against.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,5 @@
-// Runtime-dispatched element/row kernels for the RSCA transform and the
-// silhouette/Dunn inner loops.
-//
-// These extend the dispatch contract of ml/distance.h to the remaining
-// analysis hot paths:
+// Element/row kernels for the RSCA transform and runtime-dispatched kernels
+// for the silhouette/Dunn inner loops.
 //
 //   - rsca_row: the fused RSCA transform. With row total T and baseline
 //     share s_j, RCA = (t_j/T)/s_j and RSCA = (RCA-1)/(RCA+1) algebraically
@@ -15,15 +12,16 @@
 //   - labeled_extrema: masked min/max of a distance segment split by
 //     same-label vs cross-label, the Dunn building block.
 //
-// Determinism: rsca_row and rsca_map are purely element-wise (every output
-// element is a fixed expression of the corresponding inputs), so all lanes
-// produce identical bits by IEEE semantics alone. labeled_sums accumulates
-// per cluster in the canonical 4-lane order of ml/distance.h, with the
-// conditional add defined as `acc += (label == c ? d : 0.0)` per lane slot.
-// labeled_extrema uses `acc = (acc < x) ? x : acc` / `(x < acc) ? x : acc`
-// per lane slot (NaN keeps the accumulator, like the scalar comparison) and
-// combines lanes as (l0 op l2) op (l1 op l3). The scalar and avx2 lanes are
-// byte-identical.
+// Determinism: rsca_row and rsca_map are plain scalar loops, compiled with
+// -ffp-contract=off so `t - T*s` never fuses into an FMA; every output
+// element is a fixed IEEE expression of its inputs. labeled_sums and
+// labeled_extrema extend the dispatch contract of ml/distance.h.
+// labeled_sums accumulates per cluster in the canonical 4-lane order, with
+// the conditional add defined as `acc += (label == c ? d : 0.0)` per lane
+// slot. labeled_extrema uses `acc = (acc < x) ? x : acc` /
+// `(x < acc) ? x : acc` per lane slot (NaN keeps the accumulator, like the
+// scalar comparison) and combines lanes as (l0 op l2) op (l1 op l3). Their
+// scalar and avx2 lanes are byte-identical.
 #pragma once
 
 #include <cstddef>
@@ -57,14 +55,6 @@ namespace detail {
 // Per-level kernels, exposed for the bit-parity suites and SIMD benches.
 // AVX2 variants must only run on AVX2 hardware; on non-x86 builds they alias
 // the scalar kernels.
-void rsca_row_scalar(const double* t, const double* s, double total,
-                     std::size_t n, double* out);
-void rsca_row_avx2(const double* t, const double* s, double total,
-                   std::size_t n, double* out);
-
-void rsca_map_scalar(const double* v, std::size_t n, double* out);
-void rsca_map_avx2(const double* v, std::size_t n, double* out);
-
 void labeled_sums_scalar(const double* d, const int* labels, std::size_t n,
                          std::size_t k, double* sums);
 void labeled_sums_avx2(const double* d, const int* labels, std::size_t n,

@@ -27,7 +27,7 @@ namespace icn::util {
 [[nodiscard]] double quantile(std::span<const double> xs, double q);
 
 /// In-place variants for hot paths: sort the caller's buffer instead of
-/// copying it, so batch loops can reuse arena scratch with zero allocations.
+/// copying it, so a loop can reuse one scratch buffer across calls.
 /// Same value as quantile()/median() on the same data.
 [[nodiscard]] double quantile_inplace(std::span<double> xs, double q);
 [[nodiscard]] double median_inplace(std::span<double> xs);

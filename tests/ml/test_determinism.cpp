@@ -12,7 +12,6 @@
 
 #include "ml/distance.h"
 #include "ml/forest.h"
-#include "ml/kernelshap.h"
 #include "ml/linkage.h"
 #include "ml/matrix.h"
 #include "ml/metrics.h"
@@ -212,41 +211,6 @@ TEST(ThreadDeterminismTest, TreeShapBatchBitIdentical) {
     ASSERT_EQ(ref.data().size(), got.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(ref.data()[i], got[i]) << "row " << r << " slot " << i;
-    }
-  }
-}
-
-TEST(ThreadDeterminismTest, KernelShapBatchBitIdentical) {
-  std::vector<int> y;
-  const Matrix x = blob_data(12, 4, 1.0, 606, &y);
-  RandomForest forest;
-  RandomForest::Params params;
-  params.num_trees = 8;
-  forest.fit(x, y, 3, params);
-  const ModelFunction model = [&](std::span<const double> row) {
-    return forest.predict_proba(row);
-  };
-  const std::vector<std::size_t> bg_rows = {0, 3, 6, 9};
-  const std::vector<std::size_t> query_rows = {1, 4, 7};
-  const Matrix background = x.select_rows(bg_rows);
-  const Matrix queries = x.select_rows(query_rows);
-  KernelShapParams shap_params;
-  shap_params.max_coalitions = 32;
-  const auto run = [&](std::size_t threads) {
-    return with_threads(threads, [&] {
-      return kernel_shap_batch(model, queries, background, shap_params);
-    });
-  };
-  const auto serial = run(1);
-  const auto threaded = run(8);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t r = 0; r < serial.size(); ++r) {
-    ASSERT_EQ(serial[r].base, threaded[r].base) << "row " << r;
-    const auto a = serial[r].phi.data();
-    const auto b = threaded[r].phi.data();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], b[i]) << "row " << r << " slot " << i;
     }
   }
 }

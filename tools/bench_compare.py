@@ -31,7 +31,7 @@ DEFAULT_PINNED = [
     "WardNnChain",
     "SilhouetteScore",
     "CondensedDistances",
-    "RscaRowSimd",
+    "RscaTransform",
     "SquaredEuclideanSimd",
     "TreeShapPerSample",
     "ForestTraining",
