@@ -11,8 +11,10 @@
 // that silently go stale.
 //
 // ICN_BENCH_PRESET=smoke switches to a fast subset (small problem sizes,
-// low --benchmark_min_time) for the CI perf-smoke job; the JSON records
-// which preset produced it so full and smoke points are never conflated.
+// low --benchmark_min_time, ten randomly interleaved repetitions of which
+// the JSON keeps each benchmark's fastest) for the CI perf-smoke job; the
+// JSON records which preset produced it so full and smoke points are never
+// conflated.
 #pragma once
 
 namespace icn::bench {
